@@ -65,7 +65,6 @@ from .models import (
     ContaminationSpec,
     Custom,
     Gaussian,
-    McarContaminant,
     SubWeibullFolded,
     TailsOnly,
     ThresholdAbove,

@@ -251,6 +251,9 @@ def dist_to_realisable_bruteforce(summary, spec: RealisableSetSpec, sym: bool = 
         b_ub=np.array(rhs),
         bounds=[(0.0, 1.0)] * nv + [(0.0, None)],
         method="highs",
+        # at HiGHS' default 1e-7 feasibility tolerance the optimum is off by
+        # up to a few 1e-8; tighten it so the LP agrees with the exact kernel
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         raise DomainError(f"reference LP failed: {res.message}")

@@ -358,35 +358,6 @@ def point_contaminant(value) -> AtomContaminant:
     return AtomContaminant((row,), np.array([1.0]))
 
 
-@dataclass(frozen=True)
-class McarContaminant:
-    """Parametric contaminant: an independently masked draw from ``base``."""
-
-    base: object
-    pi: PatternDistribution
-
-    def __post_init__(self):
-        if self.base.dim != self.pi.d:
-            raise DimensionError("contaminant base and pattern dimensions differ")
-
-    name = "mcar"
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def draws_per_row(self) -> int:
-        return self.base.draws_per_row + 1
-
-    def sample(self, stream: Stream, n: int) -> tuple[np.ndarray, np.ndarray]:
-        x = np.atleast_2d(self.base.sample_values(stream, n))
-        if x.shape[0] != n:
-            x = x.T
-        masks = self.pi.sample_masks(stream, n)
-        return x, masks
-
-
 # ---------------------------------------------------------------------------
 # samplers
 

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-from .errors import DimensionError, DomainError, ModelError, SizeError
+from .errors import DimensionError, DomainError, EstimationError, ModelError, SizeError
 from .extended import ExtendedArray, effective_rank
 from .kolmogorov import EmpiricalSummary
 from .rng import Stream, child_seed
@@ -97,7 +98,7 @@ def solve_sdp_approx(block_means, theta, iters: int = 20):
     iteration on the weighted second-moment matrix).  The alternation is a
     max-min, so the value can drop after a weight step; the loop keeps the
     best (direction, value) pair and stops at the first non-improvement,
-    which makes the recorded value sequence nondecreasing (asserted).
+    which makes the recorded value sequence nondecreasing (checked).
     """
     B = as_block_means(block_means)
     M, d = B.shape
@@ -148,7 +149,8 @@ def solve_sdp_approx(block_means, theta, iters: int = 20):
         w = np.zeros(M)
         w[order[:k]] = cap
         w[order[k]] = 1.0 - k * cap
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    if not all(b >= a - 1e-12 for a, b in zip(values, values[1:])):
+        raise EstimationError("SDP value sequence decreased")
     return best_v, best_val
 
 
@@ -196,7 +198,8 @@ def robust_descent(data, epsilon: float, delta: float, seed: int) -> np.ndarray:
 def _fold_indices(perm: np.ndarray, T: int, fold_size: int):
     folds = [perm[t * fold_size : (t + 1) * fold_size] for t in range(T)]
     used = np.concatenate(folds)
-    assert len(np.unique(used)) == len(used)
+    if len(np.unique(used)) != len(used):
+        raise EstimationError("fold partition reuses rows")
     return folds
 
 
@@ -262,10 +265,14 @@ def iterative_robust_descent(
 def quarter_net(d: int, seed: int) -> SphereNet:
     """Greedy 1/4-separated net on the unit sphere, coverage-audited.
 
-    Candidates are accepted while farther than 1/4 from every kept point;
-    the loop ends after a run of consecutive rejections, capped at 200000
-    since the nominal 1e4 * 9^d budget is unreachable for d over a few.  A
-    1e5 sample audit then checks the net covers the sphere to 1/4 + 0.02.
+    Candidates, drawn in batches of 256, are accepted in stream order while
+    farther than 1/4 from every kept point; the loop ends after a run of
+    consecutive rejections, capped at 200000 since the nominal 1e4 * 9^d
+    budget is unreachable for d over a few.  Each batch is screened against
+    the net kept before it in one broadcast norm; only the candidates that
+    pass are walked in order against the points the same batch accepted, so
+    the net is the one the one-candidate-at-a-time loop keeps, bit for bit.
+    A 1e5 sample audit then checks the net covers the sphere to 1/4 + 0.02.
     """
     if d < 1:
         raise DomainError(f"d must be at least 1, got {d}")
@@ -276,24 +283,34 @@ def quarter_net(d: int, seed: int) -> SphereNet:
 
     limit = min(10**4 * 9**d, 200_000)
     cand_stream = Stream(child_seed(seed, 1))
-    kept: list[np.ndarray] = []
+    net = np.empty((0, d))
     rejections = 0
     while rejections < limit:
         batch = cand_stream.normals(256 * d).reshape(256, d)
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        for x in batch:
-            if kept:
-                dmin = float(np.min(np.linalg.norm(np.asarray(kept) - x, axis=1)))
-            else:
-                dmin = np.inf
-            if dmin > 0.25:
-                kept.append(x)
+        # same arithmetic as a per-candidate norm against the kept rows
+        gaps = np.linalg.norm(net[None] - batch[:, None], axis=2)
+        far = np.min(gaps, axis=1, initial=np.inf) > 0.25
+        added: list[np.ndarray] = []
+        prev = -1
+        for i in np.flatnonzero(far).tolist():
+            # the candidates screened out since the last survivor are rejections
+            rejections += i - prev - 1
+            prev = i
+            if rejections >= limit:
+                break
+            x = batch[i]
+            if not added or float(np.min(np.linalg.norm(np.asarray(added) - x, axis=1))) > 0.25:
+                added.append(x)
                 rejections = 0
             else:
                 rejections += 1
                 if rejections >= limit:
                     break
-    net = np.asarray(kept)
+        else:
+            rejections += len(batch) - 1 - prev
+        if added:
+            net = np.vstack([net, added])
 
     audit = Stream(child_seed(seed, 2)).normals(10**5 * d).reshape(10**5, d)
     audit /= np.linalg.norm(audit, axis=1, keepdims=True)
@@ -303,16 +320,38 @@ def quarter_net(d: int, seed: int) -> SphereNet:
         chunk = audit[start : start + 10_000]
         best_dot = np.max(chunk @ net.T, axis=1)
         worst = max(worst, float(np.max(np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0)))))
-    assert worst <= 0.25 + 0.02, f"net coverage audit failed: worst gap {worst:.4f}"
+    if worst > 0.25 + 0.02:
+        raise EstimationError(f"net coverage audit failed: worst gap {worst:.4f}")
     return SphereNet(net)
+
+
+def _chebyshev_fit(V: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
+    """min over theta of max_i |v_i . theta - t_i|, as one exact LP.
+
+    Variables (theta, t) minimise t subject to V theta - t <= targets and
+    -V theta - t <= -targets.  Returns theta and the attained gap t.
+    """
+    K, d = V.shape
+    ones = np.ones((K, 1))
+    res = linprog(
+        np.r_[np.zeros(d), 1.0],
+        A_ub=np.block([[V, -ones], [-V, -ones]]),
+        b_ub=np.r_[targets, -targets],
+        bounds=[(None, None)] * d + [(0.0, None)],
+        method="highs",
+    )
+    if res.status != 0:
+        raise EstimationError(f"Chebyshev reconciliation LP failed: {res.message}")
+    return res.x[:d], float(res.fun)
 
 
 def multivariate_mk(sample: ExtendedArray, epsilon: float, q: float, Sigma, seed: int) -> np.ndarray:
     """Direction-projected minimum-distance mean for all-or-nothing rows.
 
     Projects the complete rows onto each net direction, estimates the
-    projected centre, then solves the min-max reconciliation over theta by
-    subgradient descent from the least-squares stack.
+    projected centre, then reconciles the centres with the theta that
+    minimises the largest gap max_i |v_i . theta - centre_i|, an exact
+    Chebyshev fit solved as a linear program.
     """
     full = sample.fully_observed()
     none = ~sample.observed.any(axis=1)
@@ -341,17 +380,4 @@ def multivariate_mk(sample: ExtendedArray, epsilon: float, q: float, Sigma, seed
         sigma_v = math.sqrt(float(v @ Sigma @ v))
         targets[i] = mk_estimate(EmpiricalSummary(proj, n), epsilon, q, sigma_v).value
 
-    theta, *_ = np.linalg.lstsq(V, targets, rcond=None)
-
-    def gap(th):
-        return np.max((V @ th - targets) ** 2)
-
-    best_theta, best_gap = theta.copy(), float(gap(theta))
-    for k in range(1, 10**4 + 1):
-        resid = V @ theta - targets
-        i = int(np.argmax(resid**2))
-        theta = theta - (1.0 / k) * 2.0 * resid[i] * V[i]
-        g = float(gap(theta))
-        if g < best_gap:
-            best_theta, best_gap = theta.copy(), g
-    return best_theta
+    return _chebyshev_fit(V, targets)[0]

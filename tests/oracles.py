@@ -102,6 +102,62 @@ def lp_realisable_distance(
     return float(res.fun)
 
 
+def chebyshev_fit_by_vertices(V, targets, tol: float = 1e-9):
+    """Smallest max residual of min over theta of max_i |v_i . theta - t_i|.
+
+    The optimum sits at a vertex where d+1 rows hold with equality,
+    v_i . theta - t_i = s_i h for signs s_i and a common level h.  Every
+    (d+1)-subset of rows and every sign pattern is solved for (theta, h);
+    the smallest h whose theta keeps all residuals within h is the optimum.
+    Returns (theta, h).
+    """
+    from itertools import combinations, product
+
+    V = np.asarray(V, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    K, d = V.shape
+    best = (None, math.inf)
+    for rows in combinations(range(K), d + 1):
+        idx = list(rows)
+        for signs in product((-1.0, 1.0), repeat=d + 1):
+            A = np.column_stack([V[idx], -np.asarray(signs)])
+            if abs(np.linalg.det(A)) < 1e-12:
+                continue
+            sol = np.linalg.solve(A, t[idx])
+            theta, h = sol[:d], sol[d]
+            if h < -tol or h >= best[1]:
+                continue
+            if np.max(np.abs(V @ theta - t)) <= h + tol:
+                best = (theta, float(h))
+    if best[0] is None:
+        raise ValueError("no feasible vertex; V must have full column rank")
+    return best
+
+
+def greedy_net_one_by_one(candidate_stream, d: int, limit: int = 200_000) -> np.ndarray:
+    """Greedy 1/4-separated net, one candidate at a time.
+
+    Draws 256 unit candidates per batch from ``candidate_stream`` and keeps
+    each one farther than 1/4 from every kept point, until ``limit``
+    candidates in a row are rejected.  The reference loop for
+    ``quarter_net``'s batched screening.
+    """
+    kept: list[np.ndarray] = []
+    rejections = 0
+    while rejections < limit:
+        batch = candidate_stream.normals(256 * d).reshape(256, d)
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        for x in batch:
+            if not kept or float(np.min(np.linalg.norm(np.asarray(kept) - x, axis=1))) > 0.25:
+                kept.append(x)
+                rejections = 0
+            else:
+                rejections += 1
+                if rejections >= limit:
+                    break
+    return np.asarray(kept)
+
+
 def quad_observed_mean(pdf, epsilon: float, q: float, reveal, breaks=(), span=60.0):
     """(observed mean, observed mass) of a realisable contamination.
 

@@ -226,36 +226,37 @@ def test_criterion_07_descent_estimators_survive_gross_fully_observed_outliers()
 
 
 def test_criterion_08_multivariate_mk_reduces_and_tracks_univariate_error():
-    base1 = Gaussian.univariate(0.5, 1.0)
-    for s in range(20):
-        sample = sample_realisable(base1, 0.2, 0.8, ThresholdAbove(0.0), 2_000, seed=child_seed(88, s))
-        uni = mk_estimate(sample, 0.2, 0.8, 1.0).value
-        multi = multivariate_mk(sample, 0.2, 0.8, np.array([[1.0]]), seed=s)
-        assert abs(multi[0] - uni) <= 1e-4
+    with budget(120.0):
+        base1 = Gaussian.univariate(0.5, 1.0)
+        for s in range(20):
+            sample = sample_realisable(base1, 0.2, 0.8, ThresholdAbove(0.0), 2_000, seed=child_seed(88, s))
+            uni = mk_estimate(sample, 0.2, 0.8, 1.0).value
+            multi = multivariate_mk(sample, 0.2, 0.8, np.array([[1.0]]), seed=s)
+            assert abs(multi[0] - uni) <= 1e-4
 
-    theta0 = np.array([1.0, -1.0])
-    base2 = Gaussian(theta0, np.eye(2))
-    epsilon, q, n = 0.3, 0.8, 10_000
+        theta0 = np.array([1.0, -1.0])
+        base2 = Gaussian(theta0, np.eye(2))
+        epsilon, q, n = 0.3, 0.8, 10_000
 
-    per_coord_q90 = []
-    projections = [
-        [
-            sample_realisable_vector(base2, epsilon, q, ThresholdAbove(0.0), n, child_seed(89, rep))
-            for rep in range(20)
+        per_coord_q90 = []
+        projections = [
+            [
+                sample_realisable_vector(base2, epsilon, q, ThresholdAbove(0.0), n, child_seed(89, rep))
+                for rep in range(20)
+            ]
         ]
-    ]
-    for j in (0, 1):
-        sq = []
-        for sample in projections[0]:
-            col = ExtendedArray(sample.values[:, j : j + 1], sample.observed[:, j : j + 1])
-            sq.append((mk_estimate(col, epsilon, q, 1.0).value - theta0[j]) ** 2)
-        per_coord_q90.append(empirical_quantile(sq, 0.1))
+        for j in (0, 1):
+            sq = []
+            for sample in projections[0]:
+                col = ExtendedArray(sample.values[:, j : j + 1], sample.observed[:, j : j + 1])
+                sq.append((mk_estimate(col, epsilon, q, 1.0).value - theta0[j]) ** 2)
+            per_coord_q90.append(empirical_quantile(sq, 0.1))
 
-    multi_sq = []
-    for rep in range(3):
-        sample = sample_realisable_vector(base2, epsilon, q, ThresholdAbove(0.0), n, child_seed(90, rep))
-        est = multivariate_mk(sample, epsilon, q, np.eye(2), seed=rep)
-        multi_sq.append(float(np.sum((est - theta0) ** 2)))
+        multi_sq = []
+        for rep in range(3):
+            sample = sample_realisable_vector(base2, epsilon, q, ThresholdAbove(0.0), n, child_seed(90, rep))
+            est = multivariate_mk(sample, epsilon, q, np.eye(2), seed=rep)
+            multi_sq.append(float(np.sum((est - theta0) ** 2)))
     bound = 5.0 * sum(per_coord_q90)
     assert float(np.median(multi_sq)) <= bound, f"{np.median(multi_sq):.4f} > {bound:.4f}"
 

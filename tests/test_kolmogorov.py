@@ -183,6 +183,21 @@ class TestOracleAgreement:
                 assert got == pytest.approx(want, abs=1e-9)
                 assert batch[k] == pytest.approx(got, abs=1e-12)
 
+    def test_bruteforce_matches_exact_kernel(self):
+        # many missing rows and wide (epsilon, q) ranges: the instances where
+        # a loose LP feasibility tolerance shows as gaps of a few 1e-8
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            m = int(rng.integers(1, 9))
+            n = m + int(rng.integers(0, 60))
+            z = np.sort(rng.normal(scale=2.0, size=m))
+            base = Gaussian.univariate(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2.0)))
+            spec = RealisableSetSpec(base, float(rng.uniform(0.0, 0.99)), float(rng.uniform(0.05, 1.0)))
+            summary = EmpiricalSummary(z, n)
+            assert dist_to_realisable_bruteforce(summary, spec) == pytest.approx(
+                dist_to_realisable(summary, spec), abs=1e-9
+            )
+
 
 class TestSetDistanceProperties:
     def test_nonincreasing_in_epsilon(self):

@@ -1,15 +1,18 @@
 """Multivariate estimators: SDP weights, block descent, nets, projections."""
 
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from missingrobust import (
     DescentConfig,
     DimensionError,
     DomainError,
+    EstimationError,
     ExtendedArray,
     Gaussian,
     ModelError,
@@ -25,8 +28,11 @@ from missingrobust import (
     robust_block_descent,
     robust_descent,
     sample_mcar,
+    child_seed,
     solve_sdp_approx,
 )
+from missingrobust import multivariate
+from oracles import chebyshev_fit_by_vertices, greedy_net_one_by_one
 
 
 class TestDescentConfig:
@@ -206,6 +212,15 @@ class TestIterativeRobustDescent:
         with pytest.raises(DimensionError):
             iterative_robust_descent(np.zeros((10, 1)), 0.1, 0.5, seed=0)
 
+    def test_fold_partition_reusing_rows_is_an_estimation_error(self):
+        assert [list(f) for f in multivariate._fold_indices(np.arange(6), 3, 2)] == [
+            [0, 1],
+            [2, 3],
+            [4, 5],
+        ]
+        with pytest.raises(EstimationError, match="reuses rows"):
+            multivariate._fold_indices(np.array([0, 1, 2, 0]), 2, 2)
+
 
 @pytest.fixture(scope="module")
 def net2():
@@ -235,6 +250,26 @@ class TestQuarterNet:
             G = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
             np.fill_diagonal(G, 1.0)
             assert G.min() > 0.25
+
+    # sha256 of directions.tobytes(), taken from the one-candidate-at-a-time
+    # loop at commit dbbfb04; any drift in the net's bytes fails here
+    PINNED = {
+        (2, 0): "9d6a8c61fc9ab187f3989e165fb09af14f4f751a9ea663a861d9adffecd74016",
+        (2, 1): "abd56da06baea51f1931298348d770bc7818f7235956601c49606e330d32736d",
+        (2, 2): "a044425d7d308b46d06f0cb870bddd73f88debcf365845c5e85fc2a45d3fca6e",
+        (2, 3): "53e05bb2c6f7eb14f38e0c2d2c9df47862aa58a021984e4d8e1807d05fd46c61",
+        (3, 1): "6698528921397e67fbb7a8f8240aa0fc2b09efcfa958dcb669c85ee7eef47fe8",
+    }
+
+    def test_pinned_bytes(self, net2, net3):
+        built = {(2, 1): net2, (3, 1): net3}
+        for key, digest in self.PINNED.items():
+            net = built[key] if key in built else quarter_net(*key)
+            assert hashlib.sha256(net.directions.tobytes()).hexdigest() == digest, key
+
+    def test_matches_one_by_one_loop(self):
+        want = greedy_net_one_by_one(Stream(child_seed(7, 1)), 2)
+        assert quarter_net(2, seed=7).directions.tobytes() == want.tobytes()
 
     def test_coverage(self, net3):
         dirs = Stream(5).normals(2000 * 3).reshape(2000, 3)
@@ -285,7 +320,31 @@ class TestMultivariateMk:
         b = multivariate_mk(shifted, 0.2, 0.8, np.eye(2), seed=29)
         assert np.allclose(b, a + c, atol=1e-3)
 
+    def test_failed_reconciliation_lp_is_an_estimation_error(self, monkeypatch):
+        def failed(*args, **kwargs):
+            return OptimizeResult(status=4, success=False, message="numerical difficulties", x=None)
+
+        monkeypatch.setattr(multivariate, "linprog", failed)
+        s = self.all_or_nothing_sample([0.0, 0.0], 200, 1.0, seed=0)
+        with pytest.raises(EstimationError, match="numerical difficulties"):
+            multivariate_mk(s, 0.1, 1.0, np.eye(2), seed=0)
+
     def test_recovers_contaminated_mean(self):
         s = self.all_or_nothing_sample([1.0, 2.0], 1500, 0.8, seed=31)
         est = multivariate_mk(s, 0.3, 0.8, np.eye(2), seed=37)
         assert np.linalg.norm(est - np.array([1.0, 2.0])) < 0.5
+
+
+class TestChebyshevFit:
+    def test_matches_vertex_enumeration(self):
+        rng = np.random.default_rng(41)
+        for d in (2, 3):
+            for _ in range(20):
+                K = int(rng.integers(d + 2, 13))
+                V = rng.normal(size=(K, d))
+                V /= np.linalg.norm(V, axis=1, keepdims=True)
+                targets = V @ rng.normal(size=d) + rng.normal(scale=0.1, size=K)
+                theta, gap = multivariate._chebyshev_fit(V, targets)
+                _, want = chebyshev_fit_by_vertices(V, targets)
+                assert gap == pytest.approx(want, abs=1e-9)
+                assert np.max(np.abs(V @ theta - targets)) == pytest.approx(want, abs=1e-9)

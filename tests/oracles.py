@@ -102,21 +102,20 @@ def lp_realisable_distance(
     return float(res.fun)
 
 
-def chebyshev_fit_by_vertices(V, targets, tol: float = 1e-9):
-    """Smallest max residual of min over theta of max_i |v_i . theta - t_i|.
+def chebyshev_fit_by_vertices(V, targets) -> float:
+    """Optimal value of min over theta of max_i |v_i . theta - t_i|.
 
     The optimum sits at a vertex where d+1 rows hold with equality,
     v_i . theta - t_i = s_i h for signs s_i and a common level h.  Every
     (d+1)-subset of rows and every sign pattern is solved for (theta, h);
     the smallest h whose theta keeps all residuals within h is the optimum.
-    Returns (theta, h).
     """
     from itertools import combinations, product
 
     V = np.asarray(V, dtype=float)
     t = np.asarray(targets, dtype=float)
     K, d = V.shape
-    best = (None, math.inf)
+    best = math.inf
     for rows in combinations(range(K), d + 1):
         idx = list(rows)
         for signs in product((-1.0, 1.0), repeat=d + 1):
@@ -125,25 +124,24 @@ def chebyshev_fit_by_vertices(V, targets, tol: float = 1e-9):
                 continue
             sol = np.linalg.solve(A, t[idx])
             theta, h = sol[:d], sol[d]
-            if h < -tol or h >= best[1]:
-                continue
-            if np.max(np.abs(V @ theta - t)) <= h + tol:
-                best = (theta, float(h))
-    if best[0] is None:
+            if -1e-9 <= h < best and np.max(np.abs(V @ theta - t)) <= h + 1e-9:
+                best = float(h)
+    if math.isinf(best):
         raise ValueError("no feasible vertex; V must have full column rank")
     return best
 
 
-def greedy_net_one_by_one(candidate_stream, d: int, limit: int = 200_000) -> np.ndarray:
+def greedy_net_one_by_one(candidate_stream, d: int) -> np.ndarray:
     """Greedy 1/4-separated net, one candidate at a time.
 
     Draws 256 unit candidates per batch from ``candidate_stream`` and keeps
-    each one farther than 1/4 from every kept point, until ``limit``
+    each one farther than 1/4 from every kept point, until 200000
     candidates in a row are rejected.  The reference loop for
     ``quarter_net``'s batched screening.
     """
     kept: list[np.ndarray] = []
     rejections = 0
+    limit = 200_000
     while rejections < limit:
         batch = candidate_stream.normals(256 * d).reshape(256, d)
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)

@@ -21,6 +21,7 @@ from missingrobust import (
     SphereNet,
     Stream,
     as_block_means,
+    child_seed,
     iterative_robust_descent,
     mk_estimate,
     multivariate_mk,
@@ -28,7 +29,6 @@ from missingrobust import (
     robust_block_descent,
     robust_descent,
     sample_mcar,
-    child_seed,
     solve_sdp_approx,
 )
 from missingrobust import multivariate
@@ -345,6 +345,6 @@ class TestChebyshevFit:
                 V /= np.linalg.norm(V, axis=1, keepdims=True)
                 targets = V @ rng.normal(size=d) + rng.normal(scale=0.1, size=K)
                 theta, gap = multivariate._chebyshev_fit(V, targets)
-                _, want = chebyshev_fit_by_vertices(V, targets)
+                want = chebyshev_fit_by_vertices(V, targets)
                 assert gap == pytest.approx(want, abs=1e-9)
                 assert np.max(np.abs(V @ theta - targets)) == pytest.approx(want, abs=1e-9)

@@ -43,19 +43,14 @@ from .harness import (
     write_table_csv,
 )
 from .kolmogorov import (
-    AnalyticDist,
     ChainBounds,
-    DiscreteDist,
-    EmpiricalDist,
     EmpiricalSummary,
     RealisableSetSpec,
     dist_to_realisable,
     dist_to_realisable_batch,
     dist_to_realisable_bruteforce,
     dist_to_realisable_sym,
-    kolmogorov_distance,
     separation_profile,
-    sym_kolmogorov_distance,
 )
 from .models import (
     AdversaryLaw,

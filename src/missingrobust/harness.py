@@ -223,6 +223,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which subclasses int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario description; construct from a dict or JSON file."""
@@ -260,15 +269,15 @@ class ScenarioConfig:
             _require(isinstance(vals, list) and len(vals) > 0, f"grid.{key} must be a nonempty list")
             grid[key] = list(vals)
         for nn in grid["n"]:
-            _require(isinstance(nn, int) and nn >= 1, f"grid.n entries must be ints >= 1, got {nn!r}")
+            _require(_is_int(nn) and nn >= 1, f"grid.n entries must be ints >= 1, got {nn!r}")
         for dd in grid["d"]:
-            _require(isinstance(dd, int) and dd >= 1, f"grid.d entries must be ints >= 1, got {dd!r}")
+            _require(_is_int(dd) and dd >= 1, f"grid.d entries must be ints >= 1, got {dd!r}")
         for e in grid["epsilon"]:
-            _require(0.0 <= e < 1.0, f"grid.epsilon entries must lie in [0, 1), got {e!r}")
+            _require(_is_number(e) and 0.0 <= e < 1.0, f"grid.epsilon entries must be numbers in [0, 1), got {e!r}")
         for qq in grid["q"]:
-            _require(0.0 < qq <= 1.0, f"grid.q entries must lie in (0, 1], got {qq!r}")
+            _require(_is_number(qq) and 0.0 < qq <= 1.0, f"grid.q entries must be numbers in (0, 1], got {qq!r}")
         for s in grid["sigma"]:
-            _require(s > 0.0, f"grid.sigma entries must be positive, got {s!r}")
+            _require(_is_number(s) and s > 0.0, f"grid.sigma entries must be positive numbers, got {s!r}")
 
         estimators = raw["estimators"]
         _require(
@@ -276,11 +285,11 @@ class ScenarioConfig:
             "estimators must be a nonempty list of names",
         )
         reps = raw["reps"]
-        _require(isinstance(reps, int) and reps >= 1, f"reps must be an int >= 1, got {reps!r}")
+        _require(_is_int(reps) and reps >= 1, f"reps must be an int >= 1, got {reps!r}")
         delta = raw["delta"]
-        _require(isinstance(delta, (int, float)) and 0.0 < delta <= 1.0, f"delta must lie in (0, 1], got {delta!r}")
+        _require(_is_number(delta) and 0.0 < delta <= 1.0, f"delta must be a number in (0, 1], got {delta!r}")
         seed = raw["seed"]
-        _require(isinstance(seed, int), f"seed must be an int, got {seed!r}")
+        _require(_is_int(seed), f"seed must be an int, got {seed!r}")
 
         cfg = ScenarioConfig(model, tuple(estimators), grid, reps, float(delta), seed)
         cfg._validate_compatibility()

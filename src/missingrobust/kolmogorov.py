@@ -1,15 +1,16 @@
 """Kolmogorov geometry on the extended real line.
 
-Distances between laws that put mass on R plus a missingness atom, and the
-distance from an empirical law to the set of realisable contaminations of a
-fixed continuous base.  The set distance reduces to a small feasibility
-system over the target CDF values at the observed points: increments between
-consecutive points are sandwiched by lo_mass/hi_mass times the base
-increment, while the Kolmogorov band couples each CDF value to the empirical
-staircase.  The minimal band width follows in closed form from pairwise
-node constraints as a maximum of prefix-max expressions, and the symmetrized
-variant is minimized exactly as a max of affine functions of the target's
-total real mass.
+The distance from an empirical law (real values plus a missingness atom) to
+the set of realisable contaminations of a fixed continuous base.  The set
+distance reduces to a small feasibility system over the target CDF values at
+the observed points: increments between consecutive points are sandwiched by
+lo_mass/hi_mass times the base increment, while the Kolmogorov band couples
+each CDF value to the empirical staircase.  The minimal band width follows in
+closed form from pairwise node constraints as a maximum of prefix-max
+expressions; the same kernel run on a subset of the chain nodes gives a lower
+bound, which grid scans use to skip candidates before the exact pass.  The
+symmetrized variant is minimized exactly as a max of affine functions of the
+target's total real mass.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ __all__ = [
     "EmpiricalSummary",
     "RealisableSetSpec",
     "ChainBounds",
-    "EmpiricalDist",
-    "DiscreteDist",
-    "AnalyticDist",
-    "kolmogorov_distance",
-    "sym_kolmogorov_distance",
     "dist_to_realisable",
     "dist_to_realisable_batch",
     "dist_to_realisable_bruteforce",
@@ -135,11 +131,11 @@ class ChainBounds:
         return np.concatenate([[0.0], np.cumsum(self.upper)])
 
 
-def _plain_distance(SL: np.ndarray, SU: np.ndarray, n: int):
+def _plain_distance(L: np.ndarray, U: np.ndarray, n: int, nodes=None):
     """Smallest feasible band width, row-wise along the last axis.
 
-    SL, SU are the prefix sums of the increment bounds over chain nodes
-    0..m+1 (node 0 pinned at 0).  Node j >= 1 must lie in the window
+    L, U are the prefix sums SL_j, SU_j of the increment bounds at chain
+    nodes 1..m+1 (node 0 is pinned at 0).  Node j must lie in the window
     [a_j, b_j] = [max(e_j - t, 0), min(f_j + t, 1)] with e_j = min(j, m)/n
     and f_j = (j-1)/n.  Because SU - SL is nondecreasing, feasibility is the
     set of pairwise constraints a_i - b_k <= SL_i - SL_k (i <= k) and
@@ -147,12 +143,17 @@ def _plain_distance(SL: np.ndarray, SU: np.ndarray, n: int):
     on t, whose maximum is taken through prefix maxima.  The cap b_k <= 1
     adds nothing: a_i <= SU_i (the pinned-start pair) already gives
     a_i - 1 <= SL_i - SL_k, as SU_i - SL_i + SL_{m+1} <= hi_mass <= 1.
+
+    ``nodes`` gives the global index j of each column, an increasing subset
+    of 1..m+1 that ends at m+1 (default: every node, the exact width).  Each
+    term is a max over single nodes or node pairs i <= k, so on a proper
+    subset the result is a lower bound on the exact width.
     """
-    m = SL.shape[-1] - 2
-    j = np.arange(1, m + 2)
-    e = np.minimum(j, m) / n
-    f = (j - 1) / n
-    L, U = SL[..., 1:], SU[..., 1:]
+    if nodes is None:
+        nodes = np.arange(1, L.shape[-1] + 1)
+    m = int(nodes[-1]) - 1
+    e = np.minimum(nodes, m) / n
+    f = (nodes - 1) / n
     lead_lo = np.maximum.accumulate(e - L, axis=-1)  # max_{i<=k} (e_i - SL_i)
     lead_hi = np.maximum.accumulate(U - f, axis=-1)  # max_{k<=i} (SU_k - f_k)
     t = np.maximum.reduce([
@@ -175,7 +176,7 @@ def dist_to_realisable(summary, spec: RealisableSetSpec) -> float:
     bounds = ChainBounds.from_data(summary, spec)
     if summary.m == 0:
         return spec.lo_mass
-    return float(_plain_distance(bounds.prefix_lower, bounds.prefix_upper, summary.n_total))
+    return float(_plain_distance(bounds.prefix_lower[1:], bounds.prefix_upper[1:], summary.n_total))
 
 
 def dist_to_realisable_batch(
@@ -193,10 +194,9 @@ def dist_to_realisable_batch(
     if m == 0:
         return np.full(K, lo_mass)
     gaps = np.maximum(np.diff(np.concatenate([np.zeros((K, 1)), F, np.ones((K, 1))], axis=1)), 0.0)
-    zero = np.zeros((K, 1))
-    SL = np.concatenate([zero, np.cumsum(lo_mass * gaps, axis=1)], axis=1)
-    SU = np.concatenate([zero, np.cumsum(hi_mass * gaps, axis=1)], axis=1)
-    return _plain_distance(SL, SU, int(n_total))
+    L = np.cumsum(lo_mass * gaps, axis=1)
+    U = np.cumsum(hi_mass * gaps, axis=1)
+    return _plain_distance(L, U, int(n_total))
 
 
 def dist_to_realisable_bruteforce(summary, spec: RealisableSetSpec, sym: bool = False) -> float:
@@ -327,124 +327,6 @@ def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
     cands = np.clip(np.asarray(cands), c_lo, c_hi)
     vals = np.max(intercepts[None, :] + np.outer(cands, slopes), axis=1)
     return float(np.min(np.maximum(vals, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# pairwise distances between extended-line laws
-
-
-@dataclass(frozen=True)
-class DiscreteDist:
-    """Finitely supported law on R plus a missingness atom."""
-
-    points: np.ndarray
-    masses: np.ndarray
-    star_mass: float = 0.0
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1)
-        ms = np.asarray(self.masses, dtype=float).reshape(-1)
-        if len(pts) != len(ms) or np.any(ms < -1e-15):
-            raise DomainError("need one nonnegative mass per point")
-        order = np.argsort(pts)
-        pts, ms = pts[order], np.maximum(ms[order], 0.0)
-        if abs(ms.sum() + self.star_mass - 1.0) > 1e-9:
-            raise DomainError("masses must sum to 1")
-        pts.setflags(write=False)
-        ms.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "masses", ms)
-        object.__setattr__(self, "_cum", np.cumsum(ms))
-
-    @property
-    def real_mass(self) -> float:
-        return 1.0 - self.star_mass
-
-    @property
-    def jumps(self) -> np.ndarray:
-        return self.points
-
-    def cdf(self, t):
-        if len(self.points) == 0:
-            return np.zeros_like(np.asarray(t, dtype=float))
-        ix = np.searchsorted(self.points, np.asarray(t, dtype=float), side="right")
-        return np.where(ix > 0, self._cum[np.maximum(ix - 1, 0)], 0.0)
-
-    def cdf_left(self, t):
-        if len(self.points) == 0:
-            return np.zeros_like(np.asarray(t, dtype=float))
-        ix = np.searchsorted(self.points, np.asarray(t, dtype=float), side="left")
-        return np.where(ix > 0, self._cum[np.maximum(ix - 1, 0)], 0.0)
-
-
-def EmpiricalDist(sample) -> DiscreteDist:
-    """The empirical law of a univariate extended-line sample."""
-    vals, obs = as_univariate(sample)
-    n = len(vals)
-    if n == 0:
-        raise SizeError("empty sample")
-    pts, counts = np.unique(vals[obs], return_counts=True)
-    return DiscreteDist(pts, counts / n, star_mass=1.0 - counts.sum() / n)
-
-
-@dataclass(frozen=True)
-class AnalyticDist:
-    """Law given by a callable sub-CDF over R plus a missingness atom.
-
-    ``cdf_fn`` must already integrate to 1 - star_mass at +inf; jumps lists
-    its discontinuity points (empty for continuous laws).
-    """
-
-    cdf_fn: object
-    star_mass: float = 0.0
-    jump_points: tuple = ()
-
-    @property
-    def real_mass(self) -> float:
-        return 1.0 - self.star_mass
-
-    @property
-    def jumps(self) -> np.ndarray:
-        return np.asarray(self.jump_points, dtype=float)
-
-    def cdf(self, t):
-        return np.asarray(self.cdf_fn(np.asarray(t, dtype=float)), dtype=float)
-
-    def cdf_left(self, t):
-        t = np.asarray(t, dtype=float)
-        if len(self.jump_points) == 0:
-            return self.cdf(t)
-        return self.cdf(np.nextafter(t, -np.inf))
-
-
-def _candidates(d1, d2) -> np.ndarray:
-    return np.unique(np.concatenate([np.asarray(d1.jumps), np.asarray(d2.jumps)]))
-
-
-def kolmogorov_distance(d1, d2) -> float:
-    """sup over lower half-lines of the mass difference, star atom included.
-
-    Exact whenever at least one argument is piecewise constant between its
-    jumps (empirical or discrete), which pins the sup to the jump set.
-    """
-    best = abs(d1.star_mass - d2.star_mass)
-    ts = _candidates(d1, d2)
-    if len(ts):
-        best = max(best, float(np.max(np.abs(d1.cdf(ts) - d2.cdf(ts)))))
-        best = max(best, float(np.max(np.abs(d1.cdf_left(ts) - d2.cdf_left(ts)))))
-    return best
-
-
-def sym_kolmogorov_distance(d1, d2) -> float:
-    """Half-line sup in both directions plus the star atom."""
-    best = kolmogorov_distance(d1, d2)
-    ts = _candidates(d1, d2)
-    if len(ts):
-        u1, u2 = d1.real_mass - d1.cdf_left(ts), d2.real_mass - d2.cdf_left(ts)
-        best = max(best, float(np.max(np.abs(u1 - u2))))
-        v1, v2 = d1.real_mass - d1.cdf(ts), d2.real_mass - d2.cdf(ts)
-        best = max(best, float(np.max(np.abs(v1 - v2))))
-    return best
 
 
 def separation_profile(a: float, b: float | None, sigma: float, epsilon: float, q: float) -> float:

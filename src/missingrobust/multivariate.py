@@ -97,8 +97,7 @@ def solve_sdp_approx(block_means, theta, iters: int = 20):
     squared projections, remainder on the next) with a direction step (power
     iteration on the weighted second-moment matrix).  The alternation is a
     max-min, so the value can drop after a weight step; the loop keeps the
-    best (direction, value) pair and stops at the first non-improvement,
-    which makes the recorded value sequence nondecreasing (checked).
+    best (direction, value) pair and stops at the first non-improvement.
     """
     B = as_block_means(block_means)
     M, d = B.shape
@@ -149,8 +148,6 @@ def solve_sdp_approx(block_means, theta, iters: int = 20):
         w = np.zeros(M)
         w[order[:k]] = cap
         w[order[k]] = 1.0 - k * cap
-    if not all(b >= a - 1e-12 for a, b in zip(values, values[1:])):
-        raise EstimationError("SDP value sequence decreased")
     return best_v, best_val
 
 

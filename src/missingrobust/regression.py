@@ -111,8 +111,8 @@ def ks_regression_estimate(
     OLS on the observed rows plus 4 perturbations of scale sigma divided by
     the design's smallest positive singular value, drawn from one stream on
     child_seed(seed, 1).  Restarts are independent; the winner is the lowest
-    final objective with ties broken by restart index, and a result that
-    fails to dominate every start point raises ``EstimationError``.
+    final objective with ties broken by restart index.  Nelder-Mead returns
+    its best vertex, so the winner never ends above the best start value.
     """
     X = _as_design(X)
     n, d = X.shape
@@ -156,8 +156,6 @@ def ks_regression_estimate(
             best = (float(res.fun), np.asarray(res.x, dtype=float), idx)
 
     fun, theta, idx = best
-    if fun > min(start_values) + 1e-12:
-        raise EstimationError("Nelder-Mead ended above its best start value")
     diagnostics.update(
         {
             "objective": fun,

@@ -2,15 +2,23 @@
 
 Everything here is deliberately written against scipy primitives rather than
 package code, so each check compares two unrelated routes to the same number.
+Two exceptions reuse one package function each: ``EmpiricalDist`` reads
+samples through ``as_univariate``, and ``mk_full_scan_bracket`` is the
+unscreened coarse scan that ``mk_estimate``'s screened scan must reproduce
+bit for bit, so it runs the package's exact batch kernel on every grid row.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
+from scipy.special import ndtr
+
+from missingrobust import as_univariate, dist_to_realisable_batch
 
 
 def lp_realisable_distance(
@@ -205,3 +213,136 @@ def gaussian_partial_moment(centre: float, sigma: float, lo: float, hi: float) -
 
     zl, zh = (lo - centre) / sigma, (hi - centre) / sigma
     return centre * (norm.cdf(zh) - norm.cdf(zl)) + sigma * (norm.pdf(zl) - norm.pdf(zh))
+
+
+@dataclass(frozen=True)
+class DiscreteDist:
+    """Finitely supported law on R plus a missingness atom."""
+
+    points: np.ndarray
+    masses: np.ndarray
+    star_mass: float = 0.0
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float).reshape(-1)
+        ms = np.asarray(self.masses, dtype=float).reshape(-1)
+        if len(pts) != len(ms) or np.any(ms < -1e-15):
+            raise ValueError("need one nonnegative mass per point")
+        order = np.argsort(pts)
+        pts, ms = pts[order], np.maximum(ms[order], 0.0)
+        if abs(ms.sum() + self.star_mass - 1.0) > 1e-9:
+            raise ValueError("masses must sum to 1")
+        pts.setflags(write=False)
+        ms.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "masses", ms)
+        object.__setattr__(self, "_cum", np.cumsum(ms))
+
+    @property
+    def real_mass(self) -> float:
+        return 1.0 - self.star_mass
+
+    @property
+    def jumps(self) -> np.ndarray:
+        return self.points
+
+    def cdf(self, t):
+        if len(self.points) == 0:
+            return np.zeros_like(np.asarray(t, dtype=float))
+        ix = np.searchsorted(self.points, np.asarray(t, dtype=float), side="right")
+        return np.where(ix > 0, self._cum[np.maximum(ix - 1, 0)], 0.0)
+
+    def cdf_left(self, t):
+        if len(self.points) == 0:
+            return np.zeros_like(np.asarray(t, dtype=float))
+        ix = np.searchsorted(self.points, np.asarray(t, dtype=float), side="left")
+        return np.where(ix > 0, self._cum[np.maximum(ix - 1, 0)], 0.0)
+
+
+def EmpiricalDist(sample) -> DiscreteDist:
+    """The empirical law of a univariate extended-line sample."""
+    vals, obs = as_univariate(sample)
+    n = len(vals)
+    if n == 0:
+        raise ValueError("empty sample")
+    pts, counts = np.unique(vals[obs], return_counts=True)
+    return DiscreteDist(pts, counts / n, star_mass=1.0 - counts.sum() / n)
+
+
+@dataclass(frozen=True)
+class AnalyticDist:
+    """Law given by a callable sub-CDF over R plus a missingness atom.
+
+    ``cdf_fn`` must already integrate to 1 - star_mass at +inf; jumps lists
+    its discontinuity points (empty for continuous laws).
+    """
+
+    cdf_fn: object
+    star_mass: float = 0.0
+    jump_points: tuple = ()
+
+    @property
+    def real_mass(self) -> float:
+        return 1.0 - self.star_mass
+
+    @property
+    def jumps(self) -> np.ndarray:
+        return np.asarray(self.jump_points, dtype=float)
+
+    def cdf(self, t):
+        return np.asarray(self.cdf_fn(np.asarray(t, dtype=float)), dtype=float)
+
+    def cdf_left(self, t):
+        t = np.asarray(t, dtype=float)
+        if len(self.jump_points) == 0:
+            return self.cdf(t)
+        return self.cdf(np.nextafter(t, -np.inf))
+
+
+def _candidates(d1, d2) -> np.ndarray:
+    return np.unique(np.concatenate([np.asarray(d1.jumps), np.asarray(d2.jumps)]))
+
+
+def kolmogorov_distance(d1, d2) -> float:
+    """sup over lower half-lines of the mass difference, star atom included.
+
+    Exact whenever at least one argument is piecewise constant between its
+    jumps (empirical or discrete), which pins the sup to the jump set.
+    """
+    best = abs(d1.star_mass - d2.star_mass)
+    ts = _candidates(d1, d2)
+    if len(ts):
+        best = max(best, float(np.max(np.abs(d1.cdf(ts) - d2.cdf(ts)))))
+        best = max(best, float(np.max(np.abs(d1.cdf_left(ts) - d2.cdf_left(ts)))))
+    return best
+
+
+def sym_kolmogorov_distance(d1, d2) -> float:
+    """Half-line sup in both directions plus the star atom."""
+    best = kolmogorov_distance(d1, d2)
+    ts = _candidates(d1, d2)
+    if len(ts):
+        u1, u2 = d1.real_mass - d1.cdf_left(ts), d2.real_mass - d2.cdf_left(ts)
+        best = max(best, float(np.max(np.abs(u1 - u2))))
+        v1, v2 = d1.real_mass - d1.cdf(ts), d2.real_mass - d2.cdf(ts)
+        best = max(best, float(np.max(np.abs(v1 - v2))))
+    return best
+
+
+def mk_full_scan_bracket(summary, epsilon: float, q: float, sigma: float) -> tuple:
+    """Golden-section bracket of ``mk_estimate`` from the unscreened scan.
+
+    ``summary`` is an ``EmpiricalSummary`` with at least one observed value.
+    Runs the exact set distance on all 512 grid rows (in 4 blocks of 128)
+    and brackets the first argmin by its neighbours two grid steps away.
+    """
+    z, n = summary.sorted_observed, summary.n_total
+    lo_mass = q * (1.0 - epsilon)
+    grid = np.linspace(float(z[0]) - 6.0 * sigma, float(z[-1]) + 6.0 * sigma, 512)
+    coarse = np.empty(512)
+    for start in range(0, 512, 128):
+        block = grid[start : start + 128]
+        F = ndtr((z[None, :] - block[:, None]) / sigma)
+        coarse[start : start + 128] = dist_to_realisable_batch(F, n, lo_mass, lo_mass + epsilon)
+    best = int(np.argmin(coarse))
+    return float(grid[max(best - 2, 0)]), float(grid[min(best + 2, 511)])

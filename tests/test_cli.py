@@ -153,6 +153,22 @@ class TestSimulateAndReport:
 
 
 class TestProcessEntry:
+    @pytest.mark.parametrize(
+        "grid, key",
+        [({"n": [12], "epsilon": ["0.1"]}, "grid.epsilon"), ({"n": [True]}, "grid.n")],
+    )
+    def test_mistyped_grid_entry_is_exit_one_without_traceback(self, tmp_path, grid, key):
+        cfg = write_config(tmp_path, grid=grid)
+        proc = subprocess.run(
+            [sys.executable, "-m", "missingrobust.cli", "simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error:") and key in lines[0]
+
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "data"

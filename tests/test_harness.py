@@ -97,6 +97,12 @@ class TestScenarioConfig:
             ({"n": [10], "epsilon": [1.0]}, r"\[0, 1\)"),
             ({"n": [10], "q": [0.0]}, r"\(0, 1\]"),
             ({"n": [10], "sigma": [0.0]}, "positive"),
+            ({"n": [True]}, r"grid\.n entries"),
+            ({"n": [10], "d": [True]}, r"grid\.d entries"),
+            ({"n": [10], "epsilon": ["0.1"]}, r"grid\.epsilon entries"),
+            ({"n": [10], "epsilon": [False]}, r"grid\.epsilon entries"),
+            ({"n": [10], "q": [True]}, r"grid\.q entries"),
+            ({"n": [10], "sigma": ["1"]}, r"grid\.sigma entries"),
         ],
     )
     def test_grid_entry_checks(self, grid, match):
@@ -113,6 +119,10 @@ class TestScenarioConfig:
             ({"seed": "seven"}, "seed"),
             ({"estimators": []}, "nonempty list of names"),
             ({"estimators": [3]}, "nonempty list of names"),
+            ({"reps": True}, "reps"),
+            ({"delta": True}, "delta"),
+            ({"delta": "0.1"}, "delta"),
+            ({"seed": True}, "seed"),
         ],
     )
     def test_scalar_field_checks(self, patch, match):

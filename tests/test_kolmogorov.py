@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from missingrobust import (
-    AnalyticDist,
     ChainBounds,
-    DiscreteDist,
     DomainError,
-    EmpiricalDist,
     EmpiricalSummary,
     Gaussian,
     RealisableSetSpec,
@@ -24,11 +21,17 @@ from missingrobust import (
     dist_to_realisable_batch,
     dist_to_realisable_bruteforce,
     dist_to_realisable_sym,
-    kolmogorov_distance,
     separation_profile,
+)
+from missingrobust.kolmogorov import _plain_distance
+from oracles import (
+    AnalyticDist,
+    DiscreteDist,
+    EmpiricalDist,
+    kolmogorov_distance,
+    lp_realisable_distance,
     sym_kolmogorov_distance,
 )
-from oracles import lp_realisable_distance
 
 STD = Gaussian.univariate(0.0, 1.0)
 
@@ -42,6 +45,17 @@ def random_instance(rng):
     q = float(rng.uniform(0.2, 1.0))
     base = Gaussian.univariate(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2.0)))
     return EmpiricalSummary(z, n), RealisableSetSpec(base, eps, q)
+
+
+def large_instance(rng):
+    """(z, n, epsilon, q, sigma) with m = 50-300 observed values and up to m missing rows."""
+    m = int(rng.integers(50, 301))
+    n = m + int(rng.integers(0, m))
+    z = np.sort(rng.normal(scale=2.0, size=m))
+    eps = float(rng.uniform(0.0, 0.8))
+    q = float(rng.uniform(0.2, 1.0))
+    sigma = float(rng.uniform(0.5, 2.0))
+    return z, n, eps, q, sigma
 
 
 class TestSummaryAndSpec:
@@ -165,12 +179,7 @@ class TestOracleAgreement:
         # the brute-force solver stops at m = 8; the exact kernel has no such cap
         rng = np.random.default_rng(2024)
         for _ in range(30):
-            m = int(rng.integers(50, 301))
-            n = m + int(rng.integers(0, m))
-            z = np.sort(rng.normal(scale=2.0, size=m))
-            eps = float(rng.uniform(0.0, 0.8))
-            q = float(rng.uniform(0.2, 1.0))
-            sigma = float(rng.uniform(0.5, 2.0))
+            z, n, eps, q, sigma = large_instance(rng)
             centers = rng.uniform(-1.0, 1.0, size=4)
             F = np.array([norm.cdf((z - c) / sigma) for c in centers])
             lo_mass = q * (1 - eps)
@@ -182,6 +191,25 @@ class TestOracleAgreement:
                 want = lp_realisable_distance(z, n, F[k], spec.lo_mass, spec.hi_mass)
                 assert got == pytest.approx(want, abs=1e-9)
                 assert batch[k] == pytest.approx(got, abs=1e-12)
+
+    def test_node_subsets_bound_the_exact_kernel(self):
+        # any increasing node subset ending at m+1 gives a lower bound, and
+        # the full node set gives the exact distance bit for bit
+        rng = np.random.default_rng(77)
+        for _ in range(30):
+            z, n, eps, q, sigma = large_instance(rng)
+            m = len(z)
+            summary = EmpiricalSummary(z, n)
+            spec = RealisableSetSpec(Gaussian.univariate(float(rng.uniform(-1.0, 1.0)), sigma), eps, q)
+            bounds = ChainBounds.from_data(summary, spec)
+            L, U = bounds.prefix_lower[1:], bounds.prefix_upper[1:]
+            exact = dist_to_realisable(summary, spec)
+            assert float(_plain_distance(L, U, n, np.arange(1, m + 2))) == exact
+            for size in (1, 5, m // 4, m):
+                picks = np.sort(rng.choice(np.arange(1, m + 1), size=size, replace=False))
+                nodes = np.append(picks, m + 1)
+                sub = float(_plain_distance(L[nodes - 1], U[nodes - 1], n, nodes))
+                assert sub <= exact + 1e-12
 
     def test_bruteforce_matches_exact_kernel(self):
         # many missing rows and wide (epsilon, q) ranges: the instances where

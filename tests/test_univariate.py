@@ -26,11 +26,58 @@ from missingrobust import (
     sample_mcar,
     trimmed_mean,
 )
-from oracles import sorted_block_means, upper_median
+from oracles import mk_full_scan_bracket, sorted_block_means, upper_median
 
 
 def uni(rows):
     return ExtendedArray.from_rows([(r,) for r in rows])
+
+
+def screen_cases():
+    """(summary, epsilon, q, sigma) on data shapes that stress the scan screen.
+
+    Gaussian, bimodal, t(2), rounded (heavily tied) and m < 128 samples,
+    each with an epsilon = 0, q = 1 variant among its levels.
+    """
+    levels = [(0.0, 1.0), (0.3, 1.0), (0.2, 0.8), (0.1, 0.5), (0.4, 0.9)]
+    for seed, (eps, q) in enumerate(levels):
+        s = Stream(child_seed(900, seed))
+        m = 400 + 600 * seed
+        shapes = [
+            s.normals(m) + 0.5 * seed,
+            np.concatenate([s.normals(m // 2) - 3.0, s.normals(m // 2) + 3.0]),
+            s.normals(m) / np.sqrt(0.5 * (s.normals(m) ** 2 + s.normals(m) ** 2)),
+            np.round(2.0 * s.normals(m)) / 2.0,
+            1.5 * s.normals(20 + 20 * seed),
+            np.round(s.normals(30 + 20 * seed)),
+        ]
+        for z in shapes:
+            yield EmpiricalSummary(z, len(z) + 7 * seed), eps, q, 1.0 + 0.25 * seed
+
+
+# (value, kolmogorov_value) as float.hex, taken from the unscreened scan
+PINNED = {
+    "adversary_n1e4": ("-0x1.010cb71e0d11cp+0", "0x1.2141f5c4651a0p-8"),
+    "clean_gaussian": ("0x1.01925c258b318p+1", "0x1.2ad9b771491e8p-6"),
+    "bimodal": ("-0x1.420187d1bf806p+0", "0x1.a872bb0b7c63ep-3"),
+    "t2": ("-0x1.8015daa228bd8p-3", "0x1.b94268ac0f94ap-5"),
+    "rounded": ("-0x1.1d54ad4032c52p-3", "0x1.3a92a30553262p-4"),
+    "small_m": ("0x1.0d42ca6049888p-1", "0x1.4d49506970636p-4"),
+}
+
+
+def pinned_cases():
+    law = adversary_f1_f2("f1", 1.0, 1.0, 0.3, 1.0)
+    yield "adversary_n1e4", law.sample(10_000, seed=37), 0.3, 1.0, 1.0
+    yield "clean_gaussian", sample_mcar(Gaussian.univariate(2.0, 1.0), 1.0, 1000, seed=13), 0.0, 1.0, 1.0
+    s = Stream(41)
+    bimodal = np.concatenate([s.normals(300) - 3.0, s.normals(300) + 3.0])
+    yield "bimodal", EmpiricalSummary(bimodal, 700), 0.2, 0.8, 1.0
+    s = Stream(43)
+    n1, n2, n3 = s.normals(800), s.normals(800), s.normals(800)
+    yield "t2", EmpiricalSummary(n1 / np.sqrt(0.5 * (n2**2 + n3**2)), 900), 0.1, 0.9, 1.0
+    yield "rounded", EmpiricalSummary(np.round(2.0 * Stream(47).normals(2000)) / 2.0, 2500), 0.3, 0.7, 1.0
+    yield "small_m", EmpiricalSummary(Stream(53).normals(50) * 1.5 + 1.0, 60), 0.2, 0.8, 1.5
 
 
 class TestOrderMedian:
@@ -234,3 +281,23 @@ class TestMkEstimate:
     def test_sigma_validation(self):
         with pytest.raises(DomainError):
             mk_estimate(uni([1.0]), 0.1, 1.0, 0.0)
+
+    def test_screened_scan_matches_full_scan_bracket(self):
+        cases = list(screen_cases())
+        assert len(cases) >= 30
+        for summary, eps, q, sigma in cases:
+            est = mk_estimate(summary, eps, q, sigma)
+            assert est.meta["bracket"] == mk_full_scan_bracket(summary, eps, q, sigma)
+
+    def test_pinned_estimates(self):
+        for name, data, eps, q, sigma in pinned_cases():
+            est = mk_estimate(data, eps, q, sigma)
+            value, kolmogorov_value = PINNED[name]
+            assert est.value == float.fromhex(value), name
+            assert est.meta["kolmogorov_value"] == float.fromhex(kolmogorov_value), name
+
+    def test_search_counts_in_meta(self):
+        for summary, eps, q, sigma in list(screen_cases())[::5]:
+            meta = mk_estimate(summary, eps, q, sigma).meta
+            assert 1 <= meta["scan_rows_exact"] <= 512
+            assert meta["objective_evals"] >= 2

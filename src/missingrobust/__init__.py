@@ -48,7 +48,6 @@ from .kolmogorov import (
     RealisableSetSpec,
     dist_to_realisable,
     dist_to_realisable_batch,
-    dist_to_realisable_bruteforce,
     dist_to_realisable_sym,
     separation_profile,
 )
@@ -75,7 +74,6 @@ from .models import (
     sample_arbitrary,
     sample_mcar,
     sample_realisable,
-    sample_realisable_vector,
     sample_regression,
     write_dataset,
 )

@@ -13,14 +13,7 @@ import os
 import sys
 import time
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    DomainError,
-    EstimationError,
-    ModelError,
-    SizeError,
-)
+from .errors import _NUMERIC_ERRORS, ConfigError
 from .extended import ExtendedArray
 from .harness import (
     ESTIMATORS,
@@ -35,15 +28,6 @@ from .harness import (
     write_table_csv,
 )
 from .models import read_dataset
-
-_NUMERIC_ERRORS = (
-    DomainError,
-    DimensionError,
-    SizeError,
-    ModelError,
-    EstimationError,
-    FloatingPointError,
-)
 
 __all__ = ["main", "build_parser"]
 

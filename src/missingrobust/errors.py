@@ -1,8 +1,11 @@
 """Error taxonomy shared across the package.
 
-``ConfigError`` maps to CLI exit code 1, everything else that escapes maps to
-exit code 2 (numeric failure).
+``ConfigError`` maps to CLI exit code 1; the numeric failures in
+``_NUMERIC_ERRORS`` map to exit code 2 and, inside a simulation, to an NA
+record for the one estimator that raised them.
 """
+
+from numpy.linalg import LinAlgError
 
 
 class DomainError(ValueError):
@@ -30,3 +33,15 @@ class EstimationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid harness or CLI configuration."""
+
+
+# numeric or data failures of one computation, as opposed to a bad config
+_NUMERIC_ERRORS = (
+    DomainError,
+    DimensionError,
+    SizeError,
+    ModelError,
+    EstimationError,
+    FloatingPointError,
+    LinAlgError,
+)

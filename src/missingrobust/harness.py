@@ -23,11 +23,10 @@ from itertools import product
 import numpy as np
 
 from .errors import (
+    _NUMERIC_ERRORS,
     ConfigError,
-    DimensionError,
     DomainError,
     EstimationError,
-    ModelError,
     SizeError,
 )
 from .extended import ContaminationParams, ExtendedArray, PatternDistribution, as_univariate
@@ -232,6 +231,25 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_finite(x) -> bool:
+    return _is_number(x) and math.isfinite(x)
+
+
+def _is_finite_list(x) -> bool:
+    return isinstance(x, list) and all(_is_finite(v) for v in x)
+
+
+def _model_value(section: dict, path: str, default, ok, want: str):
+    """The entry of ``section`` named by the last part of the dotted ``path``.
+
+    Falls back to ``default`` when the entry is absent and raises a
+    ``ConfigError`` naming ``path`` when ``ok`` rejects the value.
+    """
+    value = section.get(path.rsplit(".", 1)[-1], default)
+    _require(ok(value), f"{path} must be {want}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario description; construct from a dict or JSON file."""
@@ -293,6 +311,8 @@ class ScenarioConfig:
 
         cfg = ScenarioConfig(model, tuple(estimators), grid, reps, float(delta), seed)
         cfg._validate_compatibility()
+        for cell in cfg.cells():
+            _CellModel(model, *cell)
         return cfg
 
     @staticmethod
@@ -372,19 +392,41 @@ class ScenarioConfig:
 # model construction per grid cell
 
 
+def _probability(x) -> bool:
+    return _is_number(x) and 0.0 <= x <= 1.0
+
+
 def _build_mechanism(mdict) -> object:
     _require(isinstance(mdict, dict) and "name" in mdict, "mechanism must be an object with a 'name'")
     name = mdict["name"]
     if name == "constant":
-        return Constant(float(mdict.get("c", 1.0)))
+        return Constant(float(_model_value(mdict, "model.mechanism.c", 1.0, _probability, "a number in [0, 1]")))
+
+    def threshold(default: float) -> float:
+        return float(_model_value(mdict, "model.mechanism.t", default, _is_finite, "a finite number"))
+
     if name == "threshold_above":
-        return ThresholdAbove(float(mdict.get("t", 0.0)))
+        return ThresholdAbove(threshold(0.0))
     if name == "threshold_below":
-        return ThresholdBelow(float(mdict.get("t", 0.0)))
+        return ThresholdBelow(threshold(0.0))
     if name == "tails_only":
-        return TailsOnly(float(mdict.get("t", 1.0)))
+        return TailsOnly(threshold(1.0))
     if name == "custom":
-        return Custom(np.asarray(mdict["knots"], dtype=float), np.asarray(mdict["levels"], dtype=float))
+        knots = _model_value(
+            mdict,
+            "model.mechanism.knots",
+            None,
+            lambda v: _is_finite_list(v) and all(a < b for a, b in zip(v, v[1:])),
+            "a strictly increasing list of finite numbers",
+        )
+        levels = _model_value(
+            mdict,
+            "model.mechanism.levels",
+            None,
+            lambda v: _is_finite_list(v) and len(v) == len(knots) + 1,
+            f"a list of {len(knots) + 1} finite numbers (one more than knots)",
+        )
+        return Custom(np.asarray(knots, dtype=float), np.asarray(levels, dtype=float))
     raise ConfigError(f"unknown mechanism {name!r}")
 
 
@@ -394,29 +436,45 @@ def _build_contaminant(cdict, d: int) -> object:
     if name == "all_star":
         return all_star_contaminant(d)
     if name == "point":
-        value = np.broadcast_to(np.asarray(cdict.get("value", 0.0), dtype=float), (d,))
-        return point_contaminant(value)
+        value = _model_value(
+            cdict,
+            "model.contaminant.value",
+            0.0,
+            lambda v: _is_finite(v) or (_is_finite_list(v) and len(v) in (1, d)),
+            f"a finite number or a list of {d} finite numbers",
+        )
+        return point_contaminant(np.broadcast_to(np.asarray(value, dtype=float), (d,)))
     raise ConfigError(f"unknown contaminant {name!r}")
 
 
 class _CellModel:
-    """Sampler + target for one grid cell of one scenario."""
+    """Sampler + target for one grid cell of one scenario.
+
+    Every model key is read through ``_model_value``, so a bad value is a
+    ``ConfigError`` naming its key; ``ScenarioConfig.from_dict`` builds each
+    cell once to surface these at load time.
+    """
 
     def __init__(self, model: dict, n: int, d: int, epsilon: float, q: float, sigma: float):
         self.kind = model["kind"]
         self.n, self.d = n, d
         self.epsilon, self.q, self.sigma = epsilon, q, sigma
         kind = self.kind
-        center = float(model.get("theta0", 0.0)) if kind != "regression" else 0.0
 
         if kind in _VECTOR_KINDS:
+            center = float(_model_value(model, "model.theta0", 0.0, _is_finite, "a finite number"))
             base = (
                 Gaussian.univariate(center, sigma)
                 if d == 1
                 else Gaussian(np.full(d, center), sigma**2 * np.eye(d))
             )
-            pattern_name = model.get("pattern", "independent")
-            _require(pattern_name in ("independent", "all_or_nothing"), f"unknown pattern {pattern_name!r}")
+            pattern_name = _model_value(
+                model,
+                "model.pattern",
+                "independent",
+                lambda v: v in ("independent", "all_or_nothing"),
+                "'independent' or 'all_or_nothing'",
+            )
             if kind == "mcar":
                 pi = (
                     PatternDistribution.all_or_nothing(d, q)
@@ -438,27 +496,37 @@ class _CellModel:
             self.theta0 = np.atleast_1d(np.asarray(base.mean(), dtype=float))
             self.label = self.spec.label()
         elif kind == "f1_adversary":
-            law = AdversaryLaw(model.get("law", "f1"), float(model["a"]), sigma, epsilon, q)
+            law = AdversaryLaw(
+                _model_value(model, "model.law", "f1", lambda v: v in ("f1", "f2"), "'f1' or 'f2'"),
+                float(_model_value(model, "model.a", None, lambda v: _is_finite(v) and v > 0, "a positive number")),
+                sigma,
+                epsilon,
+                q,
+            )
             self.law = law
             self.theta0 = np.atleast_1d(np.asarray(law.base.mean(), dtype=float))
             self.label = f"f1_adversary:{law.name}"
         elif kind == "two_point":
-            pair = adversary_two_point(float(model.get("r", 2.0)), sigma, epsilon, q)
-            which = int(model.get("which", 1))
-            _require(which in (1, 2), f"two_point 'which' must be 1 or 2, got {which}")
+            r = _model_value(model, "model.r", 2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2")
+            pair = adversary_two_point(float(r), sigma, epsilon, q)
+            which = _model_value(model, "model.which", 1, lambda v: _is_int(v) and v in (1, 2), "1 or 2")
             self.pair, self.which = pair, which
             self.theta0 = np.array([pair.theta1 if which == 1 else pair.theta2])
             self.label = f"two_point:{which}"
         else:
-            self.theta0 = np.asarray(model["theta0"], dtype=float)
-            self.design = model.get("design", "intercept_gaussian")
-            _require(
-                self.design in ("gaussian", "intercept_gaussian"), f"unknown design {self.design!r}"
+            theta0 = _model_value(model, "model.theta0", None, _is_finite_list, "a list of finite numbers")
+            self.theta0 = np.asarray(theta0, dtype=float)
+            self.design = _model_value(
+                model,
+                "model.design",
+                "intercept_gaussian",
+                lambda v: v in ("gaussian", "intercept_gaussian"),
+                "'gaussian' or 'intercept_gaussian'",
             )
             m2 = model.get("mechanism2", {"name": "constant", "c": 1.0})
             _require(isinstance(m2, dict) and "name" in m2, "mechanism2 must be an object with a 'name'")
             if m2["name"] == "constant":
-                c = float(m2.get("c", 1.0))
+                c = float(_model_value(m2, "model.mechanism2.c", 1.0, _probability, "a number in [0, 1]"))
                 self.mechanism2 = lambda X, y: c
             elif m2["name"] == "residual_above":
                 th = self.theta0
@@ -496,7 +564,7 @@ def _run_task(config: ScenarioConfig, cell_idx: int, rep: int) -> list[ResultRec
         try:
             est = run_estimator(name, data, ctx)
             sq = float(np.sum((est - model.theta0) ** 2))
-        except (DomainError, DimensionError, SizeError, ModelError, EstimationError):
+        except _NUMERIC_ERRORS:
             sq = None
         records.append(
             ResultRecord(model.label, name, n, d, epsilon, q, sigma, rep, rep_seed, sq)

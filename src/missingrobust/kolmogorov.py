@@ -5,12 +5,15 @@ the set of realisable contaminations of a fixed continuous base.  The set
 distance reduces to a small feasibility system over the target CDF values at
 the observed points: increments between consecutive points are sandwiched by
 lo_mass/hi_mass times the base increment, while the Kolmogorov band couples
-each CDF value to the empirical staircase.  The minimal band width follows in
-closed form from pairwise node constraints as a maximum of prefix-max
-expressions; the same kernel run on a subset of the chain nodes gives a lower
-bound, which grid scans use to skip candidates before the exact pass.  The
-symmetrized variant is minimized exactly as a max of affine functions of the
-target's total real mass.
+each CDF value to the empirical staircase.  One row-wise function turns base
+CDF values into the chain of cumulated increment bounds, for a single base,
+a batch of candidate bases or a subset of the chain nodes alike.  The
+minimal band width follows in closed form from pairwise node constraints as
+a maximum of prefix-max expressions; the same kernel run on a subset of the
+chain nodes gives a lower bound, which grid scans use to skip candidates
+before the exact pass.  The symmetrized variant is minimized exactly as a
+max of affine functions of the target's total real mass.  The independent
+LP cross-check lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "ChainBounds",
     "dist_to_realisable",
     "dist_to_realisable_batch",
-    "dist_to_realisable_bruteforce",
     "dist_to_realisable_sym",
     "separation_profile",
 ]
@@ -101,34 +103,38 @@ class RealisableSetSpec:
         return self.q * (1.0 - self.epsilon) + self.epsilon
 
 
+def _chain(F: np.ndarray, lo_mass: float, hi_mass: float):
+    """Prefix sums (SL, SU) of the increment bounds, row-wise along the last axis.
+
+    ``F`` holds base CDF values at the sorted observed points; the chain adds
+    node m+1 with F = 1.  Increment j bounds V_{j+1} - V_j, the target mass
+    between consecutive observed values, by lo_mass/hi_mass times the base
+    mass there; SL_j, SU_j at nodes 1..m+1 are their cumulated sums.
+    """
+    F = np.asarray(F, dtype=float)
+    edge = np.zeros(F.shape[:-1] + (1,))
+    gaps = np.maximum(np.diff(np.concatenate([edge, F, edge + 1.0], axis=-1), axis=-1), 0.0)
+    SL, SU = np.cumsum(np.multiply.outer((lo_mass, hi_mass), gaps), axis=-1)
+    return SL, SU
+
+
 @dataclass(frozen=True)
 class ChainBounds:
-    """Increment bounds for the target CDF across the observed points.
+    """Prefix sums of the target CDF increment bounds at chain nodes 1..m+1.
 
-    Entry j bounds V_{j+1} - V_j, the target mass on the interval between
-    consecutive observed values (with -inf / +inf sentinels at the ends).
+    ``prefix_lower[j-1]`` and ``prefix_upper[j-1]`` bound V_j from the chain
+    alone; node 0 is pinned at V_0 = 0 and node m+1 carries the total mass.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
+    prefix_lower: np.ndarray
+    prefix_upper: np.ndarray
 
     @staticmethod
     def from_data(summary: EmpiricalSummary, spec: RealisableSetSpec) -> "ChainBounds":
-        F = np.asarray(spec.base.cdf(summary.sorted_observed), dtype=float)
-        gaps = np.maximum(np.diff(np.concatenate([[0.0], F, [1.0]])), 0.0)
-        lo = spec.lo_mass * gaps
-        hi = spec.hi_mass * gaps
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return ChainBounds(lo, hi)
-
-    @property
-    def prefix_lower(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.lower)])
-
-    @property
-    def prefix_upper(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.upper)])
+        SL, SU = _chain(spec.base.cdf(summary.sorted_observed), spec.lo_mass, spec.hi_mass)
+        SL.setflags(write=False)
+        SU.setflags(write=False)
+        return ChainBounds(SL, SU)
 
 
 def _plain_distance(L: np.ndarray, U: np.ndarray, n: int, nodes=None):
@@ -174,9 +180,7 @@ def dist_to_realisable(summary, spec: RealisableSetSpec) -> float:
     if not isinstance(summary, EmpiricalSummary):
         summary = EmpiricalSummary.from_sample(summary)
     bounds = ChainBounds.from_data(summary, spec)
-    if summary.m == 0:
-        return spec.lo_mass
-    return float(_plain_distance(bounds.prefix_lower[1:], bounds.prefix_upper[1:], summary.n_total))
+    return float(_plain_distance(bounds.prefix_lower, bounds.prefix_upper, summary.n_total))
 
 
 def dist_to_realisable_batch(
@@ -189,75 +193,8 @@ def dist_to_realisable_batch(
     runs on all rows at once.  Used by grid scans where per-candidate calls
     would dominate the runtime.
     """
-    F = np.atleast_2d(np.asarray(F_matrix, dtype=float))
-    K, m = F.shape
-    if m == 0:
-        return np.full(K, lo_mass)
-    gaps = np.maximum(np.diff(np.concatenate([np.zeros((K, 1)), F, np.ones((K, 1))], axis=1)), 0.0)
-    L = np.cumsum(lo_mass * gaps, axis=1)
-    U = np.cumsum(hi_mass * gaps, axis=1)
+    L, U = _chain(np.atleast_2d(F_matrix), lo_mass, hi_mass)
     return _plain_distance(L, U, int(n_total))
-
-
-def dist_to_realisable_bruteforce(summary, spec: RealisableSetSpec, sym: bool = False) -> float:
-    """Small-instance reference solver via an explicit linear program."""
-    from scipy.optimize import linprog
-
-    if not isinstance(summary, EmpiricalSummary):
-        summary = EmpiricalSummary.from_sample(summary)
-    m, n = summary.m, summary.n_total
-    if m > 8:
-        raise SizeError(f"brute force capped at 8 observed values, got {m}")
-    bounds = ChainBounds.from_data(summary, spec)
-
-    nv = m + 1
-    rows, rhs = [], []
-
-    def add(coeffs, const: float):
-        # node indices may repeat within one constraint, so accumulate pairs
-        row = np.zeros(nv + 1)
-        for jj, cj in coeffs:
-            if jj >= 1:
-                row[jj - 1] += cj
-        row[nv] = -1.0
-        rows.append(row)
-        rhs.append(-const)
-
-    for i in range(m + 1):
-        add([(i, -1.0)], i / n)
-        add([(i, +1.0)], -i / n)
-        add([(i + 1, -1.0)], i / n)
-        add([(i + 1, +1.0)], -i / n)
-        if sym:
-            add([(m + 1, -1.0), (i, +1.0)], (m - i) / n)
-            add([(m + 1, +1.0), (i, -1.0)], -(m - i) / n)
-            add([(m + 1, -1.0), (i + 1, +1.0)], (m - i) / n)
-            add([(m + 1, +1.0), (i + 1, -1.0)], -(m - i) / n)
-    for j in range(m + 1):
-        row = np.zeros(nv + 1)
-        row[j] = 1.0
-        if j >= 1:
-            row[j - 1] = -1.0
-        rows.append(row)
-        rhs.append(bounds.upper[j])
-        rows.append(-row)
-        rhs.append(-bounds.lower[j])
-
-    c = np.zeros(nv + 1)
-    c[nv] = 1.0
-    res = linprog(
-        c,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        bounds=[(0.0, 1.0)] * nv + [(0.0, None)],
-        method="highs",
-        # at HiGHS' default 1e-7 feasibility tolerance the optimum is off by
-        # up to a few 1e-8; tighten it so the LP agrees with the exact kernel
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    if not res.success:
-        raise DomainError(f"reference LP failed: {res.message}")
-    return float(res.fun)
 
 
 def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
@@ -275,19 +212,19 @@ def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
         summary = EmpiricalSummary.from_sample(summary)
     m, n = summary.m, summary.n_total
     bounds = ChainBounds.from_data(summary, spec)
-    SL, SU = bounds.prefix_lower, bounds.prefix_upper
-    c_lo, c_hi = SL[m + 1], min(1.0, SU[m + 1])
+    SL, SU = bounds.prefix_lower, bounds.prefix_upper  # nodes 1..m+1
+    c_lo, c_hi = SL[m], min(1.0, SU[m])
 
     # pieces as (intercept, slope): t >= intercept + slope * c
     pieces = [(m / n, -1.0), (-m / n, 1.0)]
 
     if m >= 1:
         k = np.arange(1, m + 1)
-        p1 = k / n - SL[1 : m + 1]
-        p2 = -(m - k) / n - SL[1 : m + 1]
-        q1 = (k - 1) / n - SU[1 : m + 1]
-        q2 = -(m - k + 1) / n - SU[1 : m + 1]
-        D = SL[1 : m + 1] - SU[1 : m + 1]
+        p1 = k / n - SL[:m]
+        p2 = -(m - k) / n - SL[:m]
+        q1 = (k - 1) / n - SU[:m]
+        q2 = -(m - k + 1) / n - SU[:m]
+        D = SL[:m] - SU[:m]
         G1 = np.maximum.accumulate(p1)
         G2 = np.maximum.accumulate(p2)
         H1 = np.minimum.accumulate(q1)
@@ -309,22 +246,17 @@ def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
         ]
         # landing: the forward envelope must straddle c at the last node
         pieces += [
-            (float(G1[-1]) + SL[m + 1], -1.0),
-            (float(G2[-1]) + SL[m + 1], 0.0),
-            (-SU[m + 1] - float(H1[-1]), 1.0),
-            (-SU[m + 1] - float(H2[-1]), 0.0),
+            (float(G1[-1]) + SL[m], -1.0),
+            (float(G2[-1]) + SL[m], 0.0),
+            (-SU[m] - float(H1[-1]), 1.0),
+            (-SU[m] - float(H2[-1]), 0.0),
         ]
 
-    intercepts = np.array([p[0] for p in pieces])
-    slopes = np.array([p[1] for p in pieces])
-
-    cands = [c_lo, c_hi]
-    for i in range(len(pieces)):
-        ds = slopes[i] - slopes
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (intercepts - intercepts[i]) / ds
-        cands.extend(x[np.isfinite(x)])
-    cands = np.clip(np.asarray(cands), c_lo, c_hi)
+    intercepts, slopes = np.array(pieces).T
+    # every pairwise crossing c = (b_j - b_i) / (s_i - s_j) at once
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (intercepts[None, :] - intercepts[:, None]) / (slopes[:, None] - slopes[None, :])
+    cands = np.clip(np.concatenate([[c_lo, c_hi], x[np.isfinite(x)]]), c_lo, c_hi)
     vals = np.max(intercepts[None, :] + np.outer(cands, slopes), axis=1)
     return float(np.min(np.maximum(vals, 0.0)))
 

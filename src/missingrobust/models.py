@@ -307,9 +307,6 @@ class Custom:
         return np.asarray(self.levels, dtype=float)[idx]
 
 
-MECHANISM_TYPES = (Constant, ThresholdAbove, ThresholdBelow, TailsOnly, Custom)
-
-
 # ---------------------------------------------------------------------------
 # contaminants for the arbitrary model
 
@@ -389,45 +386,23 @@ def sample_mcar(base, pi, n: int, seed: int) -> ExtendedArray:
 
 
 def sample_realisable(base, epsilon: float, q: float, mechanism, n: int, seed: int) -> ExtendedArray:
-    """Univariate realisable contamination.
+    """Realisable contamination, all-or-nothing in d >= 1 dimensions.
 
-    With probability 1 - epsilon a draw is the base value revealed with
-    probability q; with probability epsilon it is the same base law revealed
-    with probability mechanism(x).  The observed-value density is therefore
-    {q (1 - epsilon) + epsilon m(z)} p(z).
+    With probability 1 - epsilon a row is the base draw revealed with
+    probability q; with probability epsilon it is the same base draw
+    revealed with probability mechanism(x_1), x_1 its first coordinate.
+    Rows are revealed entirely or not at all; for d = 1 the observed-value
+    density is therefore {q (1 - epsilon) + epsilon m(z)} p(z).
 
-    Consumes n uniforms on each of roles 1 (values), 2 (reveal), 3 (flags).
-    """
-    if base.dim != 1:
-        raise DimensionError("realisable sampler is univariate; see sample_realisable_vector")
-    _validate_eps_q(epsilon, q)
-    x = base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n)
-    u_reveal = Stream(child_seed(seed, _ROLE_MASK)).uniforms(n)
-    w = Stream(child_seed(seed, _ROLE_FLAG)).bernoulli(epsilon, n)
-    p = np.where(w, _mech_probs(mechanism, x), q)
-    return ExtendedArray(x[:, None], (u_reveal < p)[:, None])
-
-
-def sample_realisable_vector(
-    base, epsilon: float, q: float, mechanism, n: int, seed: int, score=None
-) -> ExtendedArray:
-    """All-or-nothing realisable contamination in d >= 1 dimensions.
-
-    Rows are revealed entirely or not at all.  The MNAR reveal probability is
-    ``mechanism`` applied to ``score(x)`` (default: first coordinate).
-
-    Consumes n * d uniforms on role 1 and n on each of roles 2 and 3.
+    Consumes n * d uniforms on role 1 and n on each of roles 2 (reveal) and
+    3 (flags).
     """
     _validate_eps_q(epsilon, q)
-    x = np.atleast_2d(base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n))
-    if x.shape[0] != n:
-        x = x.reshape(n, -1)
+    x = base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n).reshape(n, base.dim)
     u_reveal = Stream(child_seed(seed, _ROLE_MASK)).uniforms(n)
     w = Stream(child_seed(seed, _ROLE_FLAG)).bernoulli(epsilon, n)
-    s = x[:, 0] if score is None else np.asarray(score(x), dtype=float)
-    p = np.where(w, _mech_probs(mechanism, s), q)
-    reveal = u_reveal < p
-    return ExtendedArray(x, np.repeat(reveal[:, None], x.shape[1], axis=1))
+    p = np.where(w, _mech_probs(mechanism, x[:, 0]), q)
+    return ExtendedArray(x, np.repeat((u_reveal < p)[:, None], base.dim, axis=1))
 
 
 def sample_arbitrary(base, epsilon: float, pi, contaminant, n: int, seed: int) -> ExtendedArray:
@@ -517,9 +492,7 @@ class ContaminationSpec:
         if self.kind == "mcar":
             return sample_mcar(self.base, qp, n, seed)
         if self.kind == "realisable":
-            if self.base.dim == 1:
-                return sample_realisable(self.base, eps, float(qp), self.mechanism, n, seed)
-            return sample_realisable_vector(self.base, eps, float(qp), self.mechanism, n, seed)
+            return sample_realisable(self.base, eps, float(qp), self.mechanism, n, seed)
         return sample_arbitrary(self.base, eps, qp, self.contaminant, n, seed)
 
 

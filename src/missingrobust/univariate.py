@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, EstimationError, SizeError
 from .extended import as_univariate
 from .kolmogorov import (
     EmpiricalSummary,
     RealisableSetSpec,
+    _chain,
     _plain_distance,
     dist_to_realisable,
     dist_to_realisable_batch,
@@ -139,65 +139,54 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     """Centre whose realisable contamination set is nearest the data.
 
     Minimizes theta -> distance from the empirical law to the set built on a
-    Gaussian with that centre.  Coarse 512-point scan over the data range
-    widened by 6 sigma (fallback [-6 sigma, 6 sigma] with no observations),
-    golden-section refinement to 1e-6 sigma, then a left-plateau search so
-    ties resolve to the smallest minimizer.
+    Gaussian with that centre.  One set, on the Gaussian at centre 0, serves
+    every theta: the distance at theta is the distance of the data shifted by
+    -theta.  Coarse 512-point scan over the data range widened by 6 sigma
+    (fallback [-6 sigma, 6 sigma] with no observations), golden-section
+    refinement to 1e-6 sigma, then a left-plateau search so ties resolve to
+    the smallest minimizer.
 
     The scan is screened: the set-distance kernel on about 128 evenly spaced
     chain nodes gives a lower bound for every grid row, the exact kernel runs
     on the row with the smallest bound, and then on every row whose bound
     comes within 1e-9 of that exact value (the slack covers the rounding gap
-    between lo_mass * F and the cumulated increments).  A row that could tie
-    or beat the minimum is always evaluated exactly, so the argmin is the
-    full scan's.  ``meta`` reports the rows evaluated exactly
-    (``scan_rows_exact``) and the scalar objective evaluations
+    between the chain cumulated over the node subset and over every node).
+    A row that could tie or beat the minimum is always evaluated exactly, so
+    the argmin is the full scan's.  ``meta`` reports the rows evaluated
+    exactly (``scan_rows_exact``) and the scalar objective evaluations
     (``objective_evals``).
     """
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"q must lie in (0, 1], got {q}")
+    spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q)
     summary = sample if isinstance(sample, EmpiricalSummary) else EmpiricalSummary.from_sample(sample)
     z = summary.sorted_observed
     m, n = summary.m, summary.n_total
-    lo_mass = q * (1.0 - epsilon)
-    hi_mass = lo_mass + epsilon
 
     if m == 0:
-        lo_g, hi_g = -6.0 * sigma, 6.0 * sigma
-    else:
-        lo_g, hi_g = float(z[0]) - 6.0 * sigma, float(z[-1]) + 6.0 * sigma
-
+        # constant objective: every centre is lo_mass away
+        lo_g = -6.0 * sigma
+        return UniEstimate(
+            lo_g,
+            {
+                "m_observed": 0,
+                "kolmogorov_value": spec.lo_mass,
+                "bracket": (lo_g, 6.0 * sigma),
+                "scan_rows_exact": 0,
+                "objective_evals": 0,
+            },
+        )
+    lo_g, hi_g = float(z[0]) - 6.0 * sigma, float(z[-1]) + 6.0 * sigma
+    grid = np.linspace(lo_g, hi_g, 512)
     evals = 0
 
     def objective(theta: float) -> float:
         nonlocal evals
         evals += 1
-        spec = RealisableSetSpec(Gaussian.univariate(theta, sigma), epsilon, q)
-        return dist_to_realisable(summary, spec)
+        return dist_to_realisable(EmpiricalSummary(z - theta, n), spec)
 
-    grid = np.linspace(lo_g, hi_g, 512)
-    if m == 0:
-        # constant objective: every centre is lo_mass away
-        return UniEstimate(
-            lo_g,
-            {
-                "m_observed": 0,
-                "kolmogorov_value": lo_mass,
-                "bracket": (lo_g, hi_g),
-                "scan_rows_exact": 0,
-                "objective_evals": 0,
-            },
-        )
-
-    # node-subset lower bound on every row; node m+1 carries F = 1
+    # node-subset lower bound on every row
     nodes = np.append(np.arange(1, m + 1, max(1, m // _SCREEN_NODES)), m + 1)
-    F_nodes = np.ones((512, len(nodes)))
-    F_nodes[:, :-1] = ndtr((z[nodes[:-1] - 1][None, :] - grid[:, None]) / sigma)
-    bound = _plain_distance(lo_mass * F_nodes, hi_mass * F_nodes, n, nodes)
+    F_nodes = spec.base.cdf(z[nodes[:-1] - 1][None, :] - grid[:, None])
+    bound = _plain_distance(*_chain(F_nodes, spec.lo_mass, spec.hi_mass), n, nodes)
 
     exact = np.full(512, np.inf)
 
@@ -205,8 +194,8 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
         # 128-row blocks cap the memory at the unscreened scan's
         for start in range(0, len(rows), 128):
             block = rows[start : start + 128]
-            F = ndtr((z[None, :] - grid[block, None]) / sigma)
-            exact[block] = dist_to_realisable_batch(F, n, lo_mass, hi_mass)
+            F = spec.base.cdf(z[None, :] - grid[block, None])
+            exact[block] = dist_to_realisable_batch(F, n, spec.lo_mass, spec.hi_mass)
 
     first = int(np.argmin(bound))
     scan_exact(np.array([first]))

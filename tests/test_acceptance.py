@@ -34,7 +34,6 @@ from missingrobust import (
     average_of_extremes,
     child_seed,
     dist_to_realisable,
-    dist_to_realisable_bruteforce,
     dist_to_realisable_sym,
     empirical_quantile,
     iterative_robust_descent,
@@ -49,11 +48,10 @@ from missingrobust import (
     run_scenario,
     sample_mcar,
     sample_realisable,
-    sample_realisable_vector,
     sample_regression,
     write_records_csv,
 )
-from oracles import quad_density_moment, quad_observed_mean
+from oracles import lp_realisable_distance, quad_density_moment, quad_observed_mean
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "acceptance_config.json")
 
@@ -89,7 +87,7 @@ def test_criterion_01_set_distance_matches_bruteforce_oracle():
             )
             summary = EmpiricalSummary(z, n)
             fast = dist_to_realisable(summary, spec)
-            slow = dist_to_realisable_bruteforce(summary, spec)
+            slow = lp_realisable_distance(z, n, spec.base.cdf(z), spec.lo_mass, spec.hi_mass)
             assert abs(fast - slow) <= 1e-6, f"m={m} n={n}: {fast} vs {slow}"
 
         for eps, q in ((0.0, 1.0), (0.3, 0.8), (0.7, 0.4)):
@@ -241,7 +239,7 @@ def test_criterion_08_multivariate_mk_reduces_and_tracks_univariate_error():
         per_coord_q90 = []
         projections = [
             [
-                sample_realisable_vector(base2, epsilon, q, ThresholdAbove(0.0), n, child_seed(89, rep))
+                sample_realisable(base2, epsilon, q, ThresholdAbove(0.0), n, child_seed(89, rep))
                 for rep in range(20)
             ]
         ]
@@ -254,7 +252,7 @@ def test_criterion_08_multivariate_mk_reduces_and_tracks_univariate_error():
 
         multi_sq = []
         for rep in range(3):
-            sample = sample_realisable_vector(base2, epsilon, q, ThresholdAbove(0.0), n, child_seed(90, rep))
+            sample = sample_realisable(base2, epsilon, q, ThresholdAbove(0.0), n, child_seed(90, rep))
             est = multivariate_mk(sample, epsilon, q, np.eye(2), seed=rep)
             multi_sq.append(float(np.sum((est - theta0) ** 2)))
     bound = 5.0 * sum(per_coord_q90)

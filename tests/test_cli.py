@@ -169,6 +169,70 @@ class TestProcessEntry:
         assert len(lines) == 1
         assert lines[0].startswith("config error:") and key in lines[0]
 
+    @pytest.mark.parametrize(
+        "model, grid, key",
+        [
+            ({"kind": "mcar", "theta0": "a"}, {"n": [12]}, "model.theta0"),
+            ({"kind": "mcar", "pattern": "banded"}, {"n": [12]}, "model.pattern"),
+            ({"kind": "f1_adversary", "a": -1}, {"n": [12], "epsilon": [0.2]}, "model.a"),
+            ({"kind": "f1_adversary", "a": 1.0, "law": "f3"}, {"n": [12], "epsilon": [0.2]}, "model.law"),
+            ({"kind": "two_point", "r": 1}, {"n": [12], "epsilon": [0.2]}, "model.r"),
+            ({"kind": "two_point", "which": "x"}, {"n": [12], "epsilon": [0.2]}, "model.which"),
+            (
+                {"kind": "realisable", "mechanism": {"name": "threshold_above", "t": "x"}},
+                {"n": [12], "epsilon": [0.1]},
+                "model.mechanism.t",
+            ),
+            (
+                {"kind": "realisable", "mechanism": {"name": "constant", "c": 2}},
+                {"n": [12], "epsilon": [0.1]},
+                "model.mechanism.c",
+            ),
+            (
+                {"kind": "realisable", "mechanism": {"name": "custom", "knots": [1, 0], "levels": [0, 1, 1]}},
+                {"n": [12], "epsilon": [0.1]},
+                "model.mechanism.knots",
+            ),
+            (
+                {"kind": "realisable", "mechanism": {"name": "custom", "knots": [0], "levels": [0.5]}},
+                {"n": [12], "epsilon": [0.1]},
+                "model.mechanism.levels",
+            ),
+            (
+                {"kind": "arbitrary", "contaminant": {"name": "point", "value": "x"}},
+                {"n": [12], "epsilon": [0.1]},
+                "model.contaminant.value",
+            ),
+            (
+                {"kind": "regression", "theta0": [1.0, "a"]},
+                {"n": [12], "d": [2], "epsilon": [0.1], "q": [0.8]},
+                "model.theta0",
+            ),
+            (
+                {"kind": "regression", "theta0": [1.0, -1.0], "design": "uniform"},
+                {"n": [12], "d": [2], "epsilon": [0.1], "q": [0.8]},
+                "model.design",
+            ),
+            (
+                {"kind": "regression", "theta0": [1.0, -1.0], "mechanism2": {"name": "constant", "c": 1.5}},
+                {"n": [12], "d": [2], "epsilon": [0.1], "q": [0.8]},
+                "model.mechanism2.c",
+            ),
+        ],
+    )
+    def test_bad_model_key_is_exit_one_without_traceback(self, tmp_path, model, grid, key):
+        estimators = ["ols_observed"] if model["kind"] == "regression" else ["observed_mean"]
+        cfg = write_config(tmp_path, model=model, estimators=estimators, grid=grid)
+        proc = subprocess.run(
+            [sys.executable, "-m", "missingrobust.cli", "simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error:") and key in lines[0]
+
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "data"

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from missingrobust import (
     ConfigError,
+    DimensionError,
     DomainError,
+    EstimationError,
     EstimatorContext,
     Gaussian,
+    ModelError,
     PatternDistribution,
     ResultRecord,
     ScenarioConfig,
@@ -34,6 +37,7 @@ from missingrobust import (
     write_records_csv,
     write_table_csv,
 )
+from missingrobust import harness
 from missingrobust.harness import CSV_HEADER, _mom_blocks
 from missingrobust.univariate import median_of_means
 
@@ -267,6 +271,20 @@ class TestRunScenario:
         )
         records = run_scenario(cfg)
         assert records[0].sq_error is None
+
+    @pytest.mark.parametrize(
+        "error",
+        [DomainError, DimensionError, SizeError, ModelError, EstimationError, FloatingPointError, np.linalg.LinAlgError],
+        ids=lambda e: e.__name__,
+    )
+    def test_numeric_error_of_one_estimator_is_an_na_record(self, monkeypatch, error):
+        def fail(sample, ctx):
+            raise error("injected failure")
+
+        monkeypatch.setitem(harness._REGISTRY, "median_of_means", fail)
+        cfg = ScenarioConfig.from_dict(cfg_dict(estimators=["median_of_means", "observed_mean"], reps=2))
+        failed = {(r.estimator, r.rep): r.sq_error is None for r in run_scenario(cfg)}
+        assert failed == {(name, rep): name == "median_of_means" for name in cfg.estimators for rep in (0, 1)}
 
     def test_sq_error_is_squared_norm_for_vectors(self):
         cfg = ScenarioConfig.from_dict(

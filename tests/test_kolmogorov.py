@@ -15,11 +15,11 @@ from missingrobust import (
     Gaussian,
     RealisableSetSpec,
     SizeError,
+    Stream,
     TwoPoint,
     adversary_f1_f2,
     dist_to_realisable,
     dist_to_realisable_batch,
-    dist_to_realisable_bruteforce,
     dist_to_realisable_sym,
     separation_profile,
 )
@@ -47,6 +47,12 @@ def random_instance(rng):
     return EmpiricalSummary(z, n), RealisableSetSpec(base, eps, q)
 
 
+def lp_distance(summary, spec):
+    """The LP oracle on the instance of ``dist_to_realisable(summary, spec)``."""
+    z = summary.sorted_observed
+    return lp_realisable_distance(z, summary.n_total, spec.base.cdf(z), spec.lo_mass, spec.hi_mass)
+
+
 def large_instance(rng):
     """(z, n, epsilon, q, sigma) with m = 50-300 observed values and up to m missing rows."""
     m = int(rng.integers(50, 301))
@@ -56,6 +62,37 @@ def large_instance(rng):
     q = float(rng.uniform(0.2, 1.0))
     sigma = float(rng.uniform(0.5, 2.0))
     return z, n, eps, q, sigma
+
+
+def sym_cases():
+    """(name, summary, spec) for the pinned symmetrised distances."""
+    yield "all_missing", EmpiricalSummary(np.array([]), 10), RealisableSetSpec(STD, 0.3, 0.8)
+    yield "single", EmpiricalSummary(np.array([0.3]), 3), RealisableSetSpec(Gaussian.univariate(0.2, 1.5), 0.2, 0.9)
+    yield "single_clean", EmpiricalSummary(np.array([0.0]), 1), RealisableSetSpec(STD, 0.0, 1.0)
+    yield "eps_zero", EmpiricalSummary(Stream(61).normals(40), 50), RealisableSetSpec(Gaussian.univariate(-0.3, 1.0), 0.0, 0.7)
+    # these two reach their minimum at a crossing inside (c_lo, c_hi) other than m / n
+    yield "q_one", EmpiricalSummary(1.2 * Stream(73).normals(30) - 0.6, 30), RealisableSetSpec(STD, 0.4, 1.0)
+    yield "interior", EmpiricalSummary(1.2 * Stream(116).normals(200), 240), RealisableSetSpec(STD, 0.2, 0.9)
+    rounded = np.round(2.0 * Stream(63).normals(150)) / 2.0
+    yield "rounded", EmpiricalSummary(rounded, 170), RealisableSetSpec(Gaussian.univariate(0.1, 1.0), 0.1, 0.6)
+    m300 = 1.3 * Stream(64).normals(300) + 0.4
+    yield "m300", EmpiricalSummary(m300, 340), RealisableSetSpec(Gaussian.univariate(0.1, 1.2), 0.25, 0.85)
+    # the residual set of the regression fit: epsilon = 1 - q(1 - eps), q = 1
+    yield "residual_set", EmpiricalSummary(Stream(65).normals(500), 600), RealisableSetSpec(STD, 1.0 - 0.8 * 0.6, 1.0)
+
+
+# dist_to_realisable_sym as float.hex, taken from the 14-pass crossing loop
+SYM_PINNED = {
+    "all_missing": "0x1.1eb851eb851ebp-1",
+    "single": "0x1.8bf258bf258c1p-2",
+    "single_clean": "0x1.0000000000000p-1",
+    "eps_zero": "0x1.ccd6acc245498p-3",
+    "q_one": "0x1.f35ea2b4ce05ep-3",
+    "interior": "0x1.e217876aa6d76p-5",
+    "rounded": "0x1.348f4c85d2212p-2",
+    "m300": "0x1.290c81541f968p-3",
+    "residual_set": "0x1.de54074a8daa0p-7",
+}
 
 
 class TestSummaryAndSpec:
@@ -85,9 +122,10 @@ class TestSummaryAndSpec:
         summary = EmpiricalSummary(np.array([-1.0, 0.5]), 4)
         spec = RealisableSetSpec(STD, 0.3, 0.8)
         b = ChainBounds.from_data(summary, spec)
+        assert b.prefix_lower.shape == b.prefix_upper.shape == (3,)
         assert b.prefix_lower[-1] == pytest.approx(spec.lo_mass)
         assert b.prefix_upper[-1] == pytest.approx(spec.hi_mass)
-        assert np.all(b.lower <= b.upper + 1e-15)
+        assert np.all(b.prefix_lower <= b.prefix_upper + 1e-15)
 
 
 class TestAnalyticCases:
@@ -96,9 +134,7 @@ class TestAnalyticCases:
             summary = EmpiricalSummary(np.array([]), 10)
             spec = RealisableSetSpec(STD, eps, q)
             assert dist_to_realisable(summary, spec) == pytest.approx(q * (1 - eps), abs=1e-9)
-            assert dist_to_realisable_bruteforce(summary, spec) == pytest.approx(
-                q * (1 - eps), abs=1e-9
-            )
+            assert lp_distance(summary, spec) == pytest.approx(q * (1 - eps), abs=1e-9)
             assert dist_to_realisable_sym(summary, spec) == pytest.approx(
                 q * (1 - eps), abs=1e-9
             )
@@ -107,7 +143,7 @@ class TestAnalyticCases:
         summary = EmpiricalSummary(np.array([0.0]), 1)
         spec = RealisableSetSpec(STD, 0.0, 1.0)
         assert dist_to_realisable(summary, spec) == pytest.approx(0.5, abs=1e-9)
-        assert dist_to_realisable_bruteforce(summary, spec) == pytest.approx(0.5, abs=1e-9)
+        assert lp_distance(summary, spec) == pytest.approx(0.5, abs=1e-9)
 
     def test_quantile_grid_data_attains_half_over_n(self):
         # data on the base quantile grid with a wide band: the only obstruction
@@ -118,6 +154,10 @@ class TestAnalyticCases:
         spec = RealisableSetSpec(STD, 0.5, 1.0)
         assert dist_to_realisable(summary, spec) == pytest.approx(0.05, abs=1e-8)
         assert dist_to_realisable_sym(summary, spec) == pytest.approx(0.05, abs=1e-8)
+
+    def test_pinned_symmetrised_distances(self):
+        for name, summary, spec in sym_cases():
+            assert dist_to_realisable_sym(summary, spec) == float.fromhex(SYM_PINNED[name]), name
 
     def test_floor_half_over_n(self):
         rng = np.random.default_rng(7)
@@ -136,9 +176,7 @@ class TestOracleAgreement:
             summary.sorted_observed, summary.n_total, F, spec.lo_mass, spec.hi_mass
         )
         got = dist_to_realisable(summary, spec)
-        brute = dist_to_realisable_bruteforce(summary, spec)
         assert got == pytest.approx(want, abs=1e-6)
-        assert brute == pytest.approx(want, abs=1e-6)
         want_sym = lp_realisable_distance(
             summary.sorted_observed, summary.n_total, F, spec.lo_mass, spec.hi_mass, sym=True
         )
@@ -176,7 +214,7 @@ class TestOracleAgreement:
             assert batch[k] == pytest.approx(dist_to_realisable(summary, spec), abs=1e-12)
 
     def test_large_instances_match_lp_oracle(self):
-        # the brute-force solver stops at m = 8; the exact kernel has no such cap
+        # the small-m checks stop at m = 8; the exact kernel has no such cap
         rng = np.random.default_rng(2024)
         for _ in range(30):
             z, n, eps, q, sigma = large_instance(rng)
@@ -202,7 +240,7 @@ class TestOracleAgreement:
             summary = EmpiricalSummary(z, n)
             spec = RealisableSetSpec(Gaussian.univariate(float(rng.uniform(-1.0, 1.0)), sigma), eps, q)
             bounds = ChainBounds.from_data(summary, spec)
-            L, U = bounds.prefix_lower[1:], bounds.prefix_upper[1:]
+            L, U = bounds.prefix_lower, bounds.prefix_upper
             exact = dist_to_realisable(summary, spec)
             assert float(_plain_distance(L, U, n, np.arange(1, m + 2))) == exact
             for size in (1, 5, m // 4, m):
@@ -213,7 +251,8 @@ class TestOracleAgreement:
 
     def test_bruteforce_matches_exact_kernel(self):
         # many missing rows and wide (epsilon, q) ranges: the instances where
-        # a loose LP feasibility tolerance shows as gaps of a few 1e-8
+        # a loose LP feasibility tolerance shows as gaps of a few 1e-8; the
+        # LP oracle is the brute-force solver
         rng = np.random.default_rng(1)
         for _ in range(100):
             m = int(rng.integers(1, 9))
@@ -222,9 +261,7 @@ class TestOracleAgreement:
             base = Gaussian.univariate(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2.0)))
             spec = RealisableSetSpec(base, float(rng.uniform(0.0, 0.99)), float(rng.uniform(0.05, 1.0)))
             summary = EmpiricalSummary(z, n)
-            assert dist_to_realisable_bruteforce(summary, spec) == pytest.approx(
-                dist_to_realisable(summary, spec), abs=1e-9
-            )
+            assert lp_distance(summary, spec) == pytest.approx(dist_to_realisable(summary, spec), abs=1e-9)
 
 
 class TestSetDistanceProperties:

@@ -32,7 +32,6 @@ from missingrobust import (
     sample_arbitrary,
     sample_mcar,
     sample_realisable,
-    sample_realisable_vector,
     sample_regression,
     write_dataset,
 )
@@ -165,7 +164,7 @@ class TestRealisableSampler:
 
     def test_vector_rows_all_or_nothing(self):
         g = Gaussian(np.zeros(2), np.eye(2))
-        s = sample_realisable_vector(g, 0.2, 0.9, ThresholdAbove(0.0), 5000, seed=7)
+        s = sample_realisable(g, 0.2, 0.9, ThresholdAbove(0.0), 5000, seed=7)
         rowmask = s.observed
         assert np.all(rowmask.all(axis=1) | (~rowmask).all(axis=1))
 

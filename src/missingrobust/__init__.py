@@ -22,11 +22,6 @@ from .extended import (
     ExtendedArray,
     PatternDistribution,
     as_univariate,
-    effective_contamination,
-    effective_rank,
-    make_observation,
-    observed_indices,
-    sigma_ipw,
 )
 from .harness import (
     ESTIMATORS,
@@ -49,28 +44,23 @@ from .kolmogorov import (
     dist_to_realisable,
     dist_to_realisable_batch,
     dist_to_realisable_sym,
-    separation_profile,
 )
 from .models import (
     AdversaryLaw,
     AtomContaminant,
-    BoundedUniform,
     Constant,
     ContaminationSpec,
     Custom,
     Gaussian,
-    SubWeibullFolded,
     TailsOnly,
     ThresholdAbove,
     ThresholdBelow,
     TwoPoint,
     TwoPointPair,
-    adversary_f1_f2,
     adversary_two_point,
     all_star_contaminant,
     point_contaminant,
     read_dataset,
-    realisable_sandwich_check,
     sample_arbitrary,
     sample_mcar,
     sample_realisable,
@@ -90,8 +80,6 @@ from .multivariate import (
 )
 from .regression import (
     RegressionFit,
-    RegularityReport,
-    check_regular_design,
     ks_regression_estimate,
     residual_set,
 )

@@ -5,13 +5,14 @@ data lives in :class:`ExtendedArray`, a dense value matrix paired with a
 boolean observation mask.  Missingness is a tag (the mask), never a sentinel
 value in the data channel: NaN is rejected everywhere, so equality and
 ordering are total on observed values.  Masked payload entries are
-canonicalised to 0.0 and never read.
+canonicalised to 0.0 and never read.  :class:`PatternDistribution` draws the
+revelation masks of the MCAR and arbitrary samplers, and
+:class:`ContaminationParams` carries a sampler's contamination level.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,23 +88,9 @@ class ExtendedArray:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> tuple:
-        return tuple(
-            self.values[i, j] if self.observed[i, j] else STAR
-            for j in range(self.d)
-        )
-
-    def rows(self):
-        for i in range(self.n):
-            yield self.row(i)
-
     def fully_observed(self) -> np.ndarray:
         """Boolean mask of rows with every coordinate observed."""
         return self.observed.all(axis=1)
-
-    def complete_rows(self) -> np.ndarray:
-        """Values of the fully observed rows, shape (m, d)."""
-        return self.values[self.fully_observed()]
 
     def univariate(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, observed) as flat vectors; requires d = 1."""
@@ -170,43 +157,6 @@ def as_univariate(sample) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(vals, dtype=float), np.asarray(obs, dtype=bool)
 
 
-def make_observation(x, omega) -> tuple:
-    """Mask the vector ``x`` with the 0/1 revelation pattern ``omega``.
-
-    Coordinate j of the result is x_j where omega_j = 1 and STAR where
-    omega_j = 0.
-    """
-    x = list(x)
-    omega = list(omega)
-    if len(x) != len(omega):
-        raise DimensionError(
-            f"value length {len(x)} != pattern length {len(omega)}"
-        )
-    out = []
-    for xj, wj in zip(x, omega):
-        if wj not in (0, 1, False, True):
-            raise DomainError(f"revelation pattern entries must be 0/1, got {wj!r}")
-        out.append(_check_finite_scalar(xj) if wj else STAR)
-    return tuple(out)
-
-
-def observed_indices(sample) -> tuple[int, ...]:
-    """Indices of fully observed rows (or observed scalars), ascending.
-
-    A vector row counts as observed only when every coordinate is observed.
-    """
-    if isinstance(sample, ExtendedArray):
-        return tuple(int(i) for i in np.flatnonzero(sample.fully_observed()))
-    out = []
-    for i, r in enumerate(sample):
-        if isinstance(r, (tuple, list, np.ndarray)):
-            if all(not is_missing(x) for x in r):
-                out.append(i)
-        elif not is_missing(r):
-            out.append(i)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PatternDistribution:
     """Distribution over revelation patterns, stored as sparse support.
@@ -247,17 +197,6 @@ class PatternDistribution:
             out[k, list(s)] = True
         return out
 
-    def marginal(self, j: int) -> float:
-        return float(sum(p for s, p in zip(self.support, self.probs) if j in s))
-
-    def marginals(self) -> np.ndarray:
-        return np.array([self.marginal(j) for j in range(self.d)])
-
-    def pair_prob(self, j: int, k: int) -> float:
-        return float(
-            sum(p for s, p in zip(self.support, self.probs) if j in s and k in s)
-        )
-
     def cumprobs(self) -> np.ndarray:
         return np.cumsum(self.probs)
 
@@ -295,27 +234,14 @@ class PatternDistribution:
                 probs.append(p)
         return PatternDistribution(d, tuple(support), np.array(probs))
 
-    @staticmethod
-    def always(d: int) -> "PatternDistribution":
-        return PatternDistribution.all_or_nothing(d, 1.0)
-
-
-def effective_contamination(epsilon: float, q: float) -> float:
-    """Effective contamination level: epsilon / (q (1 - epsilon))."""
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"q must lie in (0, 1], got {q}")
-    return epsilon / (q * (1.0 - epsilon))
-
 
 @dataclass(frozen=True)
 class ContaminationParams:
     """Contamination fraction plus observation rates.
 
     ``q_or_pi`` is either a scalar observation probability in (0, 1] or a
-    PatternDistribution.  For a pattern distribution the scalar ``q`` used in
-    the effective level is the probability of the fully observed pattern.
+    PatternDistribution; ``ContaminationSpec.sample`` hands it to the sampler
+    of its kind as the revelation law.
     """
 
     epsilon: float
@@ -328,70 +254,3 @@ class ContaminationParams:
             q = float(self.q_or_pi)
             if not 0.0 < q <= 1.0:
                 raise DomainError(f"q must lie in (0, 1], got {q}")
-
-    @property
-    def q(self) -> float:
-        if isinstance(self.q_or_pi, PatternDistribution):
-            pi = self.q_or_pi
-            return pi.pair_prob(0, 0) if pi.d == 1 else _full_pattern_prob(pi)
-        return float(self.q_or_pi)
-
-    @property
-    def kappa(self) -> float:
-        return effective_contamination(self.epsilon, self.q)
-
-
-def _full_pattern_prob(pi: PatternDistribution) -> float:
-    full = frozenset(range(pi.d))
-    for s, p in zip(pi.support, pi.probs):
-        if s == full:
-            return float(p)
-    return 0.0
-
-
-def effective_rank(A: np.ndarray) -> float:
-    """trace(A) / ||A||_op, with 0/0 taken as 0."""
-    A = np.asarray(A, dtype=float)
-    op = np.linalg.norm(A, 2) if A.size else 0.0
-    if op == 0.0:
-        return 0.0
-    return float(np.trace(A)) / float(op)
-
-
-def sigma_ipw(Sigma: np.ndarray, pi: PatternDistribution) -> np.ndarray:
-    """Inverse-propensity-weighted covariance.
-
-    Entry (j, k) is q_jk / (q_j q_k) * Sigma_jk where q_jk is the probability
-    that coordinates j and k are observed together.  The diagonal reduces to
-    Sigma_jj / q_j.  The result is symmetrised exactly; a negative eigenvalue
-    beyond -1e-8 * ||.||_op triggers a warning, not an error.
-    """
-    Sigma = np.asarray(Sigma, dtype=float)
-    d = Sigma.shape[0]
-    if Sigma.shape != (d, d):
-        raise DimensionError(f"Sigma must be square, got {Sigma.shape}")
-    if not np.allclose(Sigma, Sigma.T, atol=1e-12, rtol=0.0):
-        raise DomainError("Sigma must be symmetric")
-    if pi.d != d:
-        raise DimensionError(f"pattern dimension {pi.d} != Sigma dimension {d}")
-    qj = pi.marginals()
-    if np.any(qj <= 0.0):
-        j = int(np.argmin(qj))
-        raise DomainError(f"coordinate never observed: q_{j} = 0")
-    Q = np.empty((d, d))
-    for j in range(d):
-        for k in range(j, d):
-            Q[j, k] = Q[k, j] = pi.pair_prob(j, k)
-    out = Sigma * Q / np.outer(qj, qj)
-    out = 0.5 * (out + out.T)
-    op = np.linalg.norm(out, 2)
-    if op > 0.0:
-        lam_min = float(np.linalg.eigvalsh(out)[0])
-        if lam_min < -1e-8 * op:
-            warnings.warn(
-                f"weighted covariance has negative eigenvalue {lam_min:.3e} "
-                f"(operator norm {op:.3e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return out

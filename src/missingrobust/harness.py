@@ -44,7 +44,13 @@ from .models import (
     point_contaminant,
     sample_regression,
 )
-from .multivariate import iterative_robust_descent, multivariate_mk, robust_descent
+from .multivariate import (
+    DescentConfig,
+    _descent_plan,
+    iterative_robust_descent,
+    multivariate_mk,
+    robust_descent,
+)
 from .regression import ks_regression_estimate
 from .rng import Stream, child_seed
 from .univariate import (
@@ -356,6 +362,15 @@ class ScenarioConfig:
                         "estimator 'min_kolmogorov_multi' needs all-or-nothing missingness for d > 1 "
                         f"but model kind {kind!r} uses per-coordinate patterns",
                     )
+        if "iterative_robust_descent" in self.estimators:
+            for n, d, epsilon, _, _ in self.cells():
+                T, M = _descent_plan(n, d, epsilon, self.delta, DescentConfig())
+                _require(
+                    n >= T * (M + 1),
+                    f"grid.n = {n} is too small for estimator 'iterative_robust_descent' at "
+                    f"d = {d}, epsilon = {epsilon}: it needs n >= {T * (M + 1)} "
+                    f"(T = {T} rounds of M = {M} blocks)",
+                )
         if kind == "regression":
             _require(
                 all(e in _REGRESSION for e in self.estimators),
@@ -714,25 +729,28 @@ def read_records_csv(path) -> list[ResultRecord]:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ConfigError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 11:
-                raise ConfigError(f"{path}: malformed row {line!r}")
-            records.append(
-                ResultRecord(
-                    scenario=parts[0],
-                    estimator=parts[1],
-                    n=int(parts[2]),
-                    d=int(parts[3]),
-                    epsilon=float(parts[4]),
-                    q=float(parts[5]),
-                    sigma=float(parts[6]),
-                    rep=int(parts[7]),
-                    seed=int(parts[8]),
-                    sq_error=None if parts[9] == "NA" else float(parts[9]),
-                    runtime_ms=None if parts[10] == "NA" else float(parts[10]),
+            try:
+                if len(parts) != 11:
+                    raise ValueError(f"{len(parts)} fields, expected 11")
+                records.append(
+                    ResultRecord(
+                        scenario=parts[0],
+                        estimator=parts[1],
+                        n=int(parts[2]),
+                        d=int(parts[3]),
+                        epsilon=float(parts[4]),
+                        q=float(parts[5]),
+                        sigma=float(parts[6]),
+                        rep=int(parts[7]),
+                        seed=int(parts[8]),
+                        sq_error=None if parts[9] == "NA" else float(parts[9]),
+                        runtime_ms=None if parts[10] == "NA" else float(parts[10]),
+                    )
                 )
-            )
+            except ValueError as e:
+                raise ConfigError(f"{path}: line {lineno}: malformed row {line!r} ({e})") from None
     return records
 
 

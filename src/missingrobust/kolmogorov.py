@@ -18,11 +18,9 @@ LP cross-check lives with the tests (``tests/oracles.py``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, SizeError
 from .extended import as_univariate
@@ -34,7 +32,6 @@ __all__ = [
     "dist_to_realisable",
     "dist_to_realisable_batch",
     "dist_to_realisable_sym",
-    "separation_profile",
 ]
 
 
@@ -66,10 +63,6 @@ class EmpiricalSummary:
     @property
     def m(self) -> int:
         return len(self.sorted_observed)
-
-    @property
-    def star_share(self) -> float:
-        return 1.0 - self.m / self.n_total
 
 
 @dataclass(frozen=True)
@@ -260,22 +253,3 @@ def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
     vals = np.max(intercepts[None, :] + np.outer(cands, slopes), axis=1)
     return float(np.min(np.maximum(vals, 0.0)))
 
-
-def separation_profile(a: float, b: float | None, sigma: float, epsilon: float, q: float) -> float:
-    """Distance lower-bound profile between contamination sets at mean gap 2a.
-
-    Evaluates the explicit half-line witness at offset b (in units of a);
-    b = None uses the optimized value log(1 + 4 kappa) / 2 with
-    kappa = epsilon / (q (1 - epsilon)).  Strictly increasing in a.
-    """
-    if a <= 0 or sigma <= 0:
-        raise DomainError("need a > 0 and sigma > 0")
-    if not 0.0 <= epsilon < 1.0 or not 0.0 < q <= 1.0:
-        raise DomainError("need epsilon in [0, 1) and q in (0, 1]")
-    lo = q * (1.0 - epsilon)
-    hi = lo + epsilon
-    if b is None:
-        b = 0.5 * math.log1p(4.0 * epsilon / lo)
-    shift = (sigma * b / a) if b <= 0.5 else (2.0 * sigma * b / a)
-    val = lo * ndtr(a / sigma - shift) - hi * ndtr(-a / sigma - shift)
-    return float(max(val, 0.0))

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .errors import DimensionError, DomainError, SizeError
 from .extended import (
@@ -29,7 +29,6 @@ from .extended import (
     ContaminationParams,
     ExtendedArray,
     PatternDistribution,
-    as_univariate,
 )
 from .rng import Stream, child_seed
 
@@ -143,84 +142,6 @@ class TwoPoint:
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < self.lo, 0.0, np.where(x < self.hi, 1.0 - self.p_hi, 1.0))
-
-
-@dataclass(frozen=True)
-class BoundedUniform:
-    """Uniform distribution on [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.lo >= self.hi:
-            raise DomainError("need finite lo < hi")
-
-    name = "bounded_uniform"
-    is_continuous = True
-    dim = 1
-    draws_per_row = 1
-
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def sample_values(self, stream: Stream, n: int) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * stream.uniforms(n)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
-    def ppf(self, u):
-        return self.lo + (self.hi - self.lo) * np.asarray(u, dtype=float)
-
-
-@dataclass(frozen=True)
-class SubWeibullFolded:
-    """Weibull law on [0, inf) with shape ``r`` and scale ``sigma``.
-
-    Tail exp(-(x/sigma)^r); heavy for r close to 1, sub-Gaussian-like for
-    r = 2.  Mean is sigma * Gamma(1 + 1/r).
-    """
-
-    r: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.r < 1.0:
-            raise DomainError(f"r must be at least 1, got {self.r}")
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-
-    name = "sub_weibull_folded"
-    is_continuous = True
-    dim = 1
-    draws_per_row = 1
-
-    def mean(self) -> float:
-        return self.sigma * float(_gamma_fn(1.0 + 1.0 / self.r))
-
-    def sample_values(self, stream: Stream, n: int) -> np.ndarray:
-        return self.ppf(stream.uniforms(n))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-((np.maximum(x, 0.0) / self.sigma) ** self.r)))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        xs = np.maximum(x, 0.0) / self.sigma
-        val = (self.r / self.sigma) * xs ** (self.r - 1.0) * np.exp(-(xs ** self.r))
-        return np.where(x < 0.0, 0.0, val)
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.sigma * (-np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))) ** (1.0 / self.r)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +395,6 @@ class ContaminationSpec:
         if self.kind == "arbitrary" and self.contaminant is None:
             raise DomainError("arbitrary contamination needs a contaminant")
 
-    @property
-    def theta0(self):
-        return self.base.mean()
-
     def label(self) -> str:
         bits = [self.kind, self.base.name]
         if self.kind == "realisable":
@@ -627,11 +544,6 @@ class AdversaryLaw:
         return ExtendedArray(values[:, None], observed[:, None])
 
 
-def adversary_f1_f2(name: str, a: float, sigma: float, epsilon: float, q: float) -> AdversaryLaw:
-    """The mirrored pair of hardest realisable laws for mean estimation."""
-    return AdversaryLaw(name, a, sigma, epsilon, q)
-
-
 @dataclass(frozen=True)
 class TwoPointPair:
     """Two two-atom bases whose realisable contaminations share one law.
@@ -704,7 +616,6 @@ def sample_regression(
     q_x,
     mechanism2,
     seed: int,
-    q_min: float | None = None,
 ) -> ExtendedArray:
     """Linear-model responses with a contaminated missing-response channel.
 
@@ -714,8 +625,7 @@ def sample_regression(
     mechanism2(x_i, y_i), which may depend on the response.
 
     ``q_x`` is a scalar or a callable over the design matrix; ``mechanism2``
-    a scalar or a callable (X, y) -> probabilities.  If ``q_min`` is given,
-    any row with q_x below it is rejected.
+    a scalar or a callable (X, y) -> probabilities.
 
     Consumes n uniforms on each of roles 1 (noise), 2 (ignorable reveal),
     3 (flags), 4 (response-dependent reveal).
@@ -731,8 +641,6 @@ def sample_regression(
     qx = np.broadcast_to(np.asarray(q_x(X) if callable(q_x) else q_x, dtype=float), (n,))
     if np.any((qx <= 0.0) | (qx > 1.0)):
         raise DomainError("q_x must lie in (0, 1] for every row")
-    if q_min is not None and np.any(qx < q_min - 1e-12):
-        raise DomainError(f"q_x drops below the declared floor {q_min}")
 
     noise = sigma * Stream(child_seed(seed, _ROLE_BASE)).normals(n)
     y = X @ theta0 + noise
@@ -751,32 +659,7 @@ def sample_regression(
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and dataset dumps
-
-
-def realisable_sandwich_check(
-    sample, base, epsilon: float, q: float, grid_size: int = 100
-) -> tuple[bool, float]:
-    """Empirical check that observed-value mass sits in the sandwich.
-
-    For H(t) = #\\{observed values <= t\\} / n the realisable model forces
-    q(1-eps) F(t) <= H(t) <= {q(1-eps)+eps} F(t) up to sampling noise; the
-    slack is 3 sqrt(log(n)/n).  Returns (ok, worst violation).
-    """
-    vals, obs = as_univariate(sample)
-    n = len(vals)
-    if n == 0:
-        raise SizeError("empty sample")
-    lo_mass = q * (1.0 - epsilon)
-    hi_mass = lo_mass + epsilon
-    slack = 3.0 * math.sqrt(math.log(n) / n)
-    grid = base.ppf(np.linspace(0.005, 0.995, grid_size))
-    z = np.sort(vals[obs])
-    h = np.searchsorted(z, grid, side="right") / n
-    f = base.cdf(grid)
-    viol = np.maximum(lo_mass * f - slack - h, h - hi_mass * f - slack)
-    worst = float(viol.max())
-    return worst <= 0.0, worst
+# dataset dumps
 
 
 def write_dataset(path, sample: ExtendedArray, model: str, seed: int) -> None:
@@ -802,16 +685,22 @@ def read_dataset(path) -> tuple[ExtendedArray, dict]:
         for part in header.lstrip("#").split():
             if "=" in part:
                 k, v = part.split("=", 1)
-                meta[k] = int(v) if k in ("d", "seed") else v
+                try:
+                    meta[k] = int(v) if k in ("d", "seed") else v
+                except ValueError:
+                    raise DomainError(f"{path}: header {k}={v!r} is not an integer") from None
         d = int(meta.get("d", 0))
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             cells = line.split("\t")
             if d and len(cells) != d:
                 raise DimensionError(f"{path}: row has {len(cells)} cells, expected {d}")
-            vals.append([0.0 if c == "NA" else float(c) for c in cells])
+            try:
+                vals.append([0.0 if c == "NA" else float(c) for c in cells])
+            except ValueError:
+                raise DomainError(f"{path}: line {lineno} has a non-numeric cell: {line!r}") from None
             obs.append([c != "NA" for c in cells])
     if not vals:
         raise SizeError(f"{path}: no data rows")

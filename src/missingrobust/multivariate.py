@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import DimensionError, DomainError, EstimationError, ModelError, SizeError
-from .extended import ExtendedArray, effective_rank
+from .extended import ExtendedArray
 from .kolmogorov import EmpiricalSummary
 from .rng import Stream, child_seed
 from .univariate import mk_estimate, order_median, trimmed_mean
@@ -37,35 +37,26 @@ __all__ = [
 class DescentConfig:
     """Constants of the iterative descent; defaults follow the analysis.
 
-    The defaults are extremely conservative: at desk scale the block count
-    they produce usually exceeds n, so experiments override a2/a3.
-    ``ipw_hint`` feeds the round-count formula: a covariance matrix (its
-    effective rank is used), a scalar rank bound, or None for the crude
-    bound d.
+    The defaults are extremely conservative: the block count M they produce
+    is at least 300 epsilon n, so at epsilon >= 1/600 the descent needs more
+    than n rows for any n, and at epsilon = 0, d = 2 and delta = 0.1 it
+    needs n >= 1,723,500.  Experiments override a2/a3.  The round count uses
+    the crude rank bound d.
     """
 
     a1: float = 1e-9
     a2: float = 300.0
     a3: float = 180000.0
     sdp_iters: int = 20
-    ipw_hint: object = None
 
     def __post_init__(self):
         if self.a1 <= 0 or self.a2 < 1 or self.a3 < 1:
             raise DomainError("need a1 > 0 and a2, a3 >= 1")
 
-    def rank_bound(self, d: int) -> float:
-        if self.ipw_hint is None:
-            return float(d)
-        if np.ndim(self.ipw_hint) == 0:
-            return float(self.ipw_hint)
-        return effective_rank(np.asarray(self.ipw_hint, dtype=float))
-
 
 @dataclass(frozen=True)
 class SphereNet:
     directions: np.ndarray
-    radius: float = 0.25
 
     def __post_init__(self):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
@@ -200,6 +191,15 @@ def _fold_indices(perm: np.ndarray, T: int, fold_size: int):
     return folds
 
 
+def _descent_plan(n: int, d: int, epsilon: float, delta: float, cfg: DescentConfig) -> tuple[int, int]:
+    """Round count T and block count M of the iterative descent, which needs n >= T (M + 1)."""
+    inner = cfg.a1 * (d + math.log(24.0 * d / delta))
+    T = 1 + math.ceil(max(math.log(inner), 1.0))
+    eps_eff = 2.0 * epsilon + 2.0 * T * math.log(3.0 * T / delta) / max(n, 1)
+    M = math.ceil(max(cfg.a2 * n * eps_eff / T, cfg.a3 * math.log(6.0 * T / delta)))
+    return T, M
+
+
 def iterative_robust_descent(
     sample: ExtendedArray, epsilon: float, delta: float, config: DescentConfig | None = None, seed: int = 0
 ) -> np.ndarray:
@@ -224,11 +224,7 @@ def iterative_robust_descent(
     cfg = config if config is not None else DescentConfig()
     n, d = sample.n, sample.d
 
-    r = cfg.rank_bound(d)
-    inner = cfg.a1 * (r + math.log(24.0 * d / delta))
-    T = 1 + math.ceil(max(math.log(inner), 1.0))
-    eps_eff = 2.0 * epsilon + 2.0 * T * math.log(3.0 * T / delta) / max(n, 1)
-    M = math.ceil(max(cfg.a2 * n * eps_eff / T, cfg.a3 * math.log(6.0 * T / delta)))
+    T, M = _descent_plan(n, d, epsilon, delta, cfg)
     if n < T * (M + 1):
         raise SizeError(f"need n >= {T * (M + 1)} for T={T}, M={M}; got {n}")
 

@@ -1,8 +1,8 @@
 """Linear regression with a contaminated missing-response channel.
 
-Design-regularity diagnostics and the symmetrised-distance estimator whose
-residual law is matched, at the right band level, against the set of
-contaminated standard-noise distributions.
+A minimum symmetrised-distance fit: the residual law is matched, at the
+right band level, against the set of contaminated standard-noise
+distributions.
 """
 
 from __future__ import annotations
@@ -19,26 +19,10 @@ from .models import Gaussian
 from .rng import Stream, child_seed
 
 __all__ = [
-    "RegularityReport",
     "RegressionFit",
-    "check_regular_design",
     "residual_set",
     "ks_regression_estimate",
 ]
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Monte Carlo estimate of the design-regularity margin (not a certificate)."""
-
-    beta_hat: float
-    gamma: float
-    worst_direction: np.ndarray
-    n_directions_tested: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta_hat <= 0.5 + 1e-12:
-            raise DomainError(f"beta_hat must lie in [0, 1/2], got {self.beta_hat}")
 
 
 @dataclass(frozen=True)
@@ -60,28 +44,6 @@ def _as_design(X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise DomainError("design entries must be finite")
     return X
-
-
-def check_regular_design(X, gamma: float, n_dirs: int = 64, seed: int = 0) -> RegularityReport:
-    """Halved worst-direction fraction of rows clearing the margin gamma.
-
-    For d = 1 the two unit directions give the same fraction, so the value
-    is exact.  For d >= 2 the infimum over the sphere is lower-bounded by a
-    Monte Carlo minimum over n_dirs uniform directions; treat the report as
-    an estimate.
-    """
-    X = _as_design(X)
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    n, d = X.shape
-    if d == 1:
-        frac = float(np.mean(np.abs(X[:, 0]) > gamma))
-        return RegularityReport(frac / 2.0, gamma, np.array([1.0]), 2)
-    dirs = Stream(child_seed(seed, 1)).normals(n_dirs * d).reshape(n_dirs, d)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    fracs = np.mean(np.abs(X @ dirs.T) > gamma, axis=0)
-    i = int(np.argmin(fracs))
-    return RegularityReport(float(fracs[i]) / 2.0, gamma, dirs[i].copy(), n_dirs)
 
 
 def residual_set(sigma: float, epsilon: float, q: float) -> RealisableSetSpec:

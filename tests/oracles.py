@@ -6,6 +6,11 @@ Two exceptions reuse one package function each: ``EmpiricalDist`` reads
 samples through ``as_univariate``, and ``mk_full_scan_bracket`` is the
 unscreened coarse scan that ``mk_estimate``'s screened scan must reproduce
 bit for bit, so it runs the package's exact batch kernel on every grid row.
+
+Two paper quantities serve only as references for the tests:
+``separation_profile``, the distance lower bound between the contamination
+sets of two means, and ``realisable_sandwich_check``, the empirical test of
+the realisable model's density sandwich.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
-from missingrobust import as_univariate, dist_to_realisable_batch
+from missingrobust import DomainError, SizeError, as_univariate, dist_to_realisable_batch
 
 
 def lp_realisable_distance(
@@ -346,3 +351,48 @@ def mk_full_scan_bracket(summary, epsilon: float, q: float, sigma: float) -> tup
         coarse[start : start + 128] = dist_to_realisable_batch(F, n, lo_mass, lo_mass + epsilon)
     best = int(np.argmin(coarse))
     return float(grid[max(best - 2, 0)]), float(grid[min(best + 2, 511)])
+
+
+def separation_profile(a: float, b: float | None, sigma: float, epsilon: float, q: float) -> float:
+    """Distance lower-bound profile between contamination sets at mean gap 2a.
+
+    Evaluates the explicit half-line witness at offset b (in units of a);
+    b = None uses the optimized value log(1 + 4 kappa) / 2 with
+    kappa = epsilon / (q (1 - epsilon)).  Strictly increasing in a.
+    """
+    if a <= 0 or sigma <= 0:
+        raise DomainError("need a > 0 and sigma > 0")
+    if not 0.0 <= epsilon < 1.0 or not 0.0 < q <= 1.0:
+        raise DomainError("need epsilon in [0, 1) and q in (0, 1]")
+    lo = q * (1.0 - epsilon)
+    hi = lo + epsilon
+    if b is None:
+        b = 0.5 * math.log1p(4.0 * epsilon / lo)
+    shift = (sigma * b / a) if b <= 0.5 else (2.0 * sigma * b / a)
+    val = lo * ndtr(a / sigma - shift) - hi * ndtr(-a / sigma - shift)
+    return float(max(val, 0.0))
+
+
+def realisable_sandwich_check(
+    sample, base, epsilon: float, q: float, grid_size: int = 100
+) -> tuple[bool, float]:
+    """Empirical check that observed-value mass sits in the sandwich.
+
+    For H(t) = #\\{observed values <= t\\} / n the realisable model forces
+    q(1-eps) F(t) <= H(t) <= {q(1-eps)+eps} F(t) up to sampling noise; the
+    slack is 3 sqrt(log(n)/n).  Returns (ok, worst violation).
+    """
+    vals, obs = as_univariate(sample)
+    n = len(vals)
+    if n == 0:
+        raise SizeError("empty sample")
+    lo_mass = q * (1.0 - epsilon)
+    hi_mass = lo_mass + epsilon
+    slack = 3.0 * math.sqrt(math.log(n) / n)
+    grid = base.ppf(np.linspace(0.005, 0.995, grid_size))
+    z = np.sort(vals[obs])
+    h = np.searchsorted(z, grid, side="right") / n
+    f = base.cdf(grid)
+    viol = np.maximum(lo_mass * f - slack - h, h - hi_mass * f - slack)
+    worst = float(viol.max())
+    return worst <= 0.0, worst

@@ -42,7 +42,6 @@ from missingrobust import (
     multivariate_mk,
     observed_mean,
     rate_table,
-    realisable_sandwich_check,
     residual_set,
     robust_descent,
     run_scenario,
@@ -51,7 +50,12 @@ from missingrobust import (
     sample_regression,
     write_records_csv,
 )
-from oracles import lp_realisable_distance, quad_density_moment, quad_observed_mean
+from oracles import (
+    lp_realisable_distance,
+    quad_density_moment,
+    quad_observed_mean,
+    realisable_sandwich_check,
+)
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "acceptance_config.json")
 

@@ -112,6 +112,18 @@ class TestEstimate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [("# d=1 model=m seed=0\n1.5\nfoo\n", "line 3"), ("# d=x model=m seed=0\n1.5\n", "d='x'")],
+        ids=["non_numeric_cell", "non_integer_header"],
+    )
+    def test_malformed_dump_is_exit_two(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        assert main(["estimate", "--estimator", "observed_mean", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and where in err
+
     def test_unknown_estimator_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--estimator", "zzz", "--data", "x.tsv"])
@@ -145,6 +157,19 @@ class TestSimulateAndReport:
         empty.write_text(CSV_HEADER + "\n")
         assert main(["report", "--in", str(empty), "--out", str(tmp_path / "t.csv")]) == 1
         assert "no records" in capsys.readouterr().err
+
+    def test_report_rejects_a_non_integer_cell(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_HEADER + "\nmcar:gaussian,observed_mean,1e3,1,0,1,1,0,5,0.25,NA\n")
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(bad) in err and "line 2" in err
+
+    def test_iterative_descent_below_its_minimum_n_is_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, estimators=["iterative_robust_descent"], grid={"n": [1000], "d": [2]})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "grid.n = 1000" in err and "n >= 1723500" in err
 
     def test_report_missing_file_is_exit_two(self, tmp_path, capsys):
         code = main(["report", "--in", str(tmp_path / "none.csv"), "--out", str(tmp_path / "t.csv")])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from missingrobust import (
     STAR,
-    ContaminationParams,
     DomainError,
     ExtendedArray,
     PatternDistribution,
@@ -15,11 +14,6 @@ from missingrobust import (
     Stream,
     as_univariate,
     child_seed,
-    effective_contamination,
-    effective_rank,
-    make_observation,
-    observed_indices,
-    sigma_ipw,
     splitmix64,
 )
 
@@ -98,8 +92,8 @@ class TestExtendedArray:
     def test_round_trip_rows(self):
         arr = ExtendedArray.from_rows([(1.0, STAR), (STAR, 2.0), (3.0, 4.0)])
         assert arr.n == 3 and arr.d == 2
-        assert arr.row(0) == (1.0, STAR)
-        assert arr.row(1) == (STAR, 2.0)
+        assert arr.values[0, 0] == 1.0 and arr.values[1, 1] == 2.0
+        assert arr.observed[:2].tolist() == [[True, False], [False, True]]
         assert list(arr.fully_observed()) == [False, False, True]
 
     def test_rejects_nonfinite_observed_values(self):
@@ -112,23 +106,19 @@ class TestExtendedArray:
         with pytest.raises(Exception):
             as_univariate(ExtendedArray.from_rows([(1.0, 2.0)]))
 
-    def test_make_observation_masks(self):
-        assert make_observation((1.0, 2.0), (1, 0)) == (1.0, STAR)
-
-    def test_observed_indices(self):
-        assert observed_indices((1.0, STAR, 3.0)) == (0, 2)
-
 
 class TestPatternDistribution:
     def test_all_or_nothing_marginals(self):
         pi = PatternDistribution.all_or_nothing(3, 0.7)
-        assert np.allclose(pi.marginals(), 0.7)
-        assert pi.pair_prob(0, 2) == pytest.approx(0.7)
+        masks = pi.masks()
+        assert np.allclose(pi.probs @ masks, 0.7)
+        assert pi.probs @ (masks[:, 0] & masks[:, 2]) == pytest.approx(0.7)
 
     def test_independent_marginals_and_pairs(self):
         pi = PatternDistribution.independent(3, [0.5, 0.8, 1.0])
-        assert np.allclose(pi.marginals(), [0.5, 0.8, 1.0])
-        assert pi.pair_prob(0, 1) == pytest.approx(0.4)
+        masks = pi.masks()
+        assert np.allclose(pi.probs @ masks, [0.5, 0.8, 1.0])
+        assert pi.probs @ (masks[:, 0] & masks[:, 1]) == pytest.approx(0.4)
 
     def test_independent_caps_dimension(self):
         with pytest.raises(SizeError):
@@ -144,41 +134,3 @@ class TestPatternDistribution:
     def test_probs_sum_to_one(self, d, q):
         pi = PatternDistribution.independent(d, q)
         assert np.isclose(np.sum(pi.probs), 1.0)
-
-
-class TestLevels:
-    def test_effective_contamination_value(self):
-        assert effective_contamination(0.3, 0.8) == pytest.approx(0.3 / (0.8 * 0.7))
-
-    def test_effective_contamination_zero(self):
-        assert effective_contamination(0.0, 1.0) == 0.0
-
-    def test_contamination_params_kappa(self):
-        p = ContaminationParams(0.3, 0.8)
-        assert p.kappa == pytest.approx(effective_contamination(0.3, 0.8))
-        assert p.q == pytest.approx(0.8)
-
-    def test_params_with_pattern_use_full_pattern_prob(self):
-        pi = PatternDistribution.all_or_nothing(2, 0.6)
-        p = ContaminationParams(0.1, pi)
-        assert p.q == pytest.approx(0.6)
-
-    def test_effective_rank_identity(self):
-        assert effective_rank(np.eye(4)) == pytest.approx(4.0)
-
-    def test_effective_rank_spiked(self):
-        A = np.diag([10.0, 1.0, 1.0])
-        assert effective_rank(A) == pytest.approx(1.2)
-
-    def test_sigma_ipw_identity_pattern(self):
-        S = np.array([[2.0, 0.5], [0.5, 1.0]])
-        pi = PatternDistribution.always(2)
-        assert np.allclose(sigma_ipw(S, pi), S)
-
-    def test_sigma_ipw_independent(self):
-        S = np.eye(2)
-        pi = PatternDistribution.independent(2, [0.5, 1.0])
-        out = sigma_ipw(S, pi)
-        # diagonal scales by q_j / q_j^2 = 1 / q_j
-        assert out[0, 0] == pytest.approx(2.0)
-        assert out[1, 1] == pytest.approx(1.0)

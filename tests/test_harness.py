@@ -200,6 +200,14 @@ class TestCompatibility:
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig.from_dict(cfg_dict(**patch))
 
+    def test_iterative_descent_needs_its_minimum_n(self):
+        # d = 2, epsilon = 0, delta = 0.1: T = 2 rounds of M = 861749 blocks
+        patch = {"estimators": ["iterative_robust_descent"], "grid": {"n": [1723499], "d": [2]}}
+        with pytest.raises(ConfigError, match=r"grid\.n = 1723499 .* needs n >= 1723500"):
+            ScenarioConfig.from_dict(cfg_dict(**patch))
+        patch["grid"]["n"] = [1723500]
+        assert ScenarioConfig.from_dict(cfg_dict(**patch)).grid["n"] == [1723500]
+
     def test_multi_mk_allowed_with_all_or_nothing(self):
         cfg = ScenarioConfig.from_dict(
             cfg_dict(

@@ -39,7 +39,7 @@ class TestDescentConfig:
     def test_defaults(self):
         cfg = DescentConfig()
         assert cfg.a1 == 1e-9 and cfg.a2 == 300.0 and cfg.a3 == 180000.0
-        assert cfg.sdp_iters == 20 and cfg.ipw_hint is None
+        assert cfg.sdp_iters == 20
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -48,14 +48,6 @@ class TestDescentConfig:
             DescentConfig(a2=0.5)
         with pytest.raises(DomainError):
             DescentConfig(a3=0.0)
-
-    def test_rank_bound_variants(self):
-        assert DescentConfig().rank_bound(5) == 5.0
-        assert DescentConfig(ipw_hint=2.5).rank_bound(5) == 2.5
-        assert DescentConfig(ipw_hint=np.eye(4)).rank_bound(4) == pytest.approx(4.0)
-        assert DescentConfig(ipw_hint=np.diag([10.0, 1.0, 1.0])).rank_bound(3) == pytest.approx(
-            1.2
-        )
 
 
 class TestBlockMeansAndNet:
@@ -75,7 +67,7 @@ class TestBlockMeansAndNet:
         with pytest.raises(DomainError):
             SphereNet(np.array([[1.0, 1.0]]))
         net = SphereNet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert net.radius == 0.25 and len(net) == 2
+        assert len(net) == 2
 
 
 class TestSolveSdp:
@@ -166,12 +158,11 @@ class TestRobustDescent:
 
 class TestIterativeRobustDescent:
     def test_round_and_block_arithmetic_in_size_error(self):
-        # d = 4 with an identity second-moment hint and delta = 0.5 forces
-        # exactly two rounds; the block count is pinned by the a3 branch
+        # d = 4 with the rank bound d and delta = 0.5 forces exactly two
+        # rounds; the block count is pinned by the a3 branch
         sample = ExtendedArray(np.zeros((100, 4)), np.ones((100, 4), dtype=bool))
-        cfg = DescentConfig(ipw_hint=np.eye(4))
         with pytest.raises(SizeError) as exc:
-            iterative_robust_descent(sample, 0.0, 0.5, config=cfg, seed=0)
+            iterative_robust_descent(sample, 0.0, 0.5, seed=0)
         msg = str(exc.value)
         M = math.ceil(180000.0 * math.log(24.0))
         assert f"T=2, M={M}" in msg

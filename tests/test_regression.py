@@ -1,10 +1,9 @@
-"""Regression estimator: design regularity, residual sets, distance fitting."""
+"""Regression estimator: residual sets, distance fitting."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from missingrobust import (
     DomainError,
@@ -12,9 +11,7 @@ from missingrobust import (
     EstimationError,
     ExtendedArray,
     RegressionFit,
-    RegularityReport,
     Stream,
-    check_regular_design,
     child_seed,
     dist_to_realisable_sym,
     ks_regression_estimate,
@@ -26,34 +23,6 @@ from missingrobust import (
 def make_design(n, d, data_seed):
     g = Stream(child_seed(data_seed, 5)).normals(n * d).reshape(n, d)
     return g
-
-
-class TestRegularityCheck:
-    def test_sign_design_is_maximally_regular(self):
-        X = np.array([1.0, -1.0, 1.0, -1.0])
-        rep = check_regular_design(X, 0.5)
-        assert rep.beta_hat == 0.5
-        assert rep.n_directions_tested == 2
-
-    def test_zero_design_has_no_margin(self):
-        rep = check_regular_design(np.zeros(10), 1.0)
-        assert rep.beta_hat == 0.0
-
-    def test_gaussian_plane_margin(self):
-        X = Stream(1).normals(2 * 10_000).reshape(10_000, 2)
-        rep = check_regular_design(X, 1.0, n_dirs=64, seed=0)
-        # rotation invariance puts every direction's fraction near 2*Phi(-1);
-        # the halved Monte Carlo minimum sits just under Phi(-1)
-        assert rep.beta_hat == pytest.approx(norm.cdf(-1.0), abs=0.05)
-        assert rep.beta_hat <= norm.cdf(-1.0) + 1e-12
-
-    def test_gamma_validation(self):
-        with pytest.raises(DomainError):
-            check_regular_design(np.ones(5), 0.0)
-
-    def test_report_validates_beta(self):
-        with pytest.raises(DomainError):
-            RegularityReport(0.7, 1.0, np.array([1.0]), 2)
 
 
 class TestResidualSet:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from missingrobust import (
     STAR,
+    AdversaryLaw,
     DomainError,
     EmpiricalSummary,
     EstimationError,
@@ -15,7 +16,6 @@ from missingrobust import (
     RealisableSetSpec,
     SizeError,
     Stream,
-    adversary_f1_f2,
     average_of_extremes,
     child_seed,
     dist_to_realisable,
@@ -67,7 +67,7 @@ PINNED = {
 
 
 def pinned_cases():
-    law = adversary_f1_f2("f1", 1.0, 1.0, 0.3, 1.0)
+    law = AdversaryLaw("f1", 1.0, 1.0, 0.3, 1.0)
     yield "adversary_n1e4", law.sample(10_000, seed=37), 0.3, 1.0, 1.0
     yield "clean_gaussian", sample_mcar(Gaussian.univariate(2.0, 1.0), 1.0, 1000, seed=13), 0.0, 1.0, 1.0
     s = Stream(41)
@@ -266,7 +266,7 @@ class TestMkEstimate:
         # pulled up by a computable amount while the set distance stays small
         # near the truth
         a, sigma, eps, q = 1.0, 1.0, 0.3, 1.0
-        law = adversary_f1_f2("f1", a, sigma, eps, q)
+        law = AdversaryLaw("f1", a, sigma, eps, q)
         theta0 = law.base.mean()
         s = law.sample(10_000, seed=37)
         mk_err = abs(mk_estimate(s, eps, q, sigma).value - theta0)

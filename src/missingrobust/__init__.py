@@ -18,7 +18,6 @@ from .errors import (
 )
 from .extended import (
     STAR,
-    ContaminationParams,
     ExtendedArray,
     PatternDistribution,
     as_univariate,
@@ -47,7 +46,6 @@ from .kolmogorov import (
 )
 from .models import (
     AdversaryLaw,
-    AtomContaminant,
     Constant,
     ContaminationSpec,
     Custom,

@@ -16,6 +16,7 @@ import time
 from .errors import _NUMERIC_ERRORS, ConfigError
 from .extended import ExtendedArray
 from .harness import (
+    _REGRESSION,
     ESTIMATORS,
     EstimatorContext,
     ScenarioConfig,
@@ -71,9 +72,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     sample, meta = read_dataset(args.data)
-    ctx = EstimatorContext(args.epsilon, args.q, args.sigma, args.delta, sample.d, args.seed)
-    data = sample
-    if args.estimator in ("ks_regression", "ols_observed"):
+    data, d = sample, sample.d
+    if args.estimator in _REGRESSION:
         # regression dumps carry the design first, the response last
         if sample.d < 2:
             raise ConfigError(f"{args.data}: regression data needs >= 2 columns, got {sample.d}")
@@ -81,8 +81,8 @@ def _cmd_estimate(args) -> int:
             raise ConfigError(f"{args.data}: design columns must be fully observed")
         X = sample.values[:, :-1]
         Z = ExtendedArray(sample.values[:, -1:], sample.observed[:, -1:])
-        ctx = EstimatorContext(args.epsilon, args.q, args.sigma, args.delta, X.shape[1], args.seed)
-        data = (X, Z)
+        data, d = (X, Z), X.shape[1]
+    ctx = EstimatorContext(args.epsilon, args.q, args.sigma, args.delta, d, args.seed)
     t0 = time.perf_counter()
     est = run_estimator(args.estimator, data, ctx)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)

@@ -6,14 +6,13 @@ boolean observation mask.  Missingness is a tag (the mask), never a sentinel
 value in the data channel: NaN is rejected everywhere, so equality and
 ordering are total on observed values.  Masked payload entries are
 canonicalised to 0.0 and never read.  :class:`PatternDistribution` draws the
-revelation masks of the MCAR and arbitrary samplers, and
-:class:`ContaminationParams` carries a sampler's contamination level.
+revelation masks of the MCAR and arbitrary samplers; the arbitrary sampler's
+contaminant is a one-row :class:`ExtendedArray`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,64 +156,48 @@ def as_univariate(sample) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(vals, dtype=float), np.asarray(obs, dtype=bool)
 
 
-@dataclass(frozen=True)
 class PatternDistribution:
-    """Distribution over revelation patterns, stored as sparse support.
+    """Distribution over revelation patterns.
 
-    ``support`` lists distinct subsets of {0, ..., d-1} (observed index
-    sets); ``probs`` must sum to 1 within 1e-12 and are renormalised exactly
-    on construction.
+    Built by :meth:`all_or_nothing` or :meth:`independent`, it stores the
+    support as a (K, d) boolean mask matrix, one pattern per row in
+    enumeration order, with ``probs`` renormalised to sum to 1 and their
+    running sums, which :meth:`sample_masks` inverts.
     """
 
-    d: int
-    support: tuple[frozenset, ...]
-    probs: np.ndarray = field(repr=False)
+    __slots__ = ("d", "probs", "_masks", "_cumprobs")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, masks, probs):
+        masks = np.array(masks, dtype=bool)
+        if masks.ndim != 2 or masks.shape[1] < 1:
             raise DimensionError("d must be at least 1")
-        support = tuple(frozenset(int(j) for j in s) for s in self.support)
-        if len(set(support)) != len(support):
-            raise DomainError("pattern support subsets must be distinct")
-        for s in support:
-            if any(j < 0 or j >= self.d for j in s):
-                raise DomainError(f"pattern {sorted(s)} out of range for d={self.d}")
-        probs = np.asarray(self.probs, dtype=float)
-        if len(probs) != len(support) or np.any(probs < 0):
-            raise DomainError("probs must be nonnegative, one per subset")
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"pattern probabilities sum to {total}, not 1")
-        probs = probs / total
-        probs.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
+        probs = np.asarray(probs, dtype=float)
+        probs = probs / probs.sum()
+        cumprobs = np.cumsum(probs)
+        for a in (masks, probs, cumprobs):
+            a.setflags(write=False)
+        self.d = masks.shape[1]
+        self.probs = probs
+        self._masks = masks
+        self._cumprobs = cumprobs
 
     def masks(self) -> np.ndarray:
-        """Support patterns as a (K, d) boolean array, in support order."""
-        out = np.zeros((len(self.support), self.d), dtype=bool)
-        for k, s in enumerate(self.support):
-            out[k, list(s)] = True
-        return out
-
-    def cumprobs(self) -> np.ndarray:
-        return np.cumsum(self.probs)
+        """Support patterns as a read-only (K, d) boolean array."""
+        return self._masks
 
     def sample_masks(self, stream, n: int) -> np.ndarray:
         """n pattern draws as an (n, d) boolean array; consumes n uniforms."""
-        idx = stream.categorical(self.cumprobs(), n)
-        return self.masks()[idx]
+        return self.masks()[stream.categorical(self._cumprobs, n)]
 
     @staticmethod
     def all_or_nothing(d: int, q: float) -> "PatternDistribution":
         if not 0.0 <= q <= 1.0:
             raise DomainError(f"q must lie in [0, 1], got {q}")
-        full = frozenset(range(d))
         if q == 1.0:
-            return PatternDistribution(d, (full,), np.array([1.0]))
+            return PatternDistribution([[True] * d], [1.0])
         if q == 0.0:
-            return PatternDistribution(d, (frozenset(),), np.array([1.0]))
-        return PatternDistribution(d, (full, frozenset()), np.array([q, 1.0 - q]))
+            return PatternDistribution([[False] * d], [1.0])
+        return PatternDistribution([[True] * d, [False] * d], [q, 1.0 - q])
 
     @staticmethod
     def independent(d: int, qs) -> "PatternDistribution":
@@ -224,33 +207,12 @@ class PatternDistribution:
         qs = np.broadcast_to(np.asarray(qs, dtype=float), (d,))
         if np.any((qs < 0) | (qs > 1)):
             raise DomainError("per-coordinate probabilities must lie in [0, 1]")
-        support, probs = [], []
-        for bits in itertools.product((0, 1), repeat=d):
+        masks, probs = [], []
+        for bits in itertools.product((False, True), repeat=d):
             p = 1.0
             for j, b in enumerate(bits):
                 p *= qs[j] if b else (1.0 - qs[j])
             if p > 0.0:
-                support.append(frozenset(j for j, b in enumerate(bits) if b))
+                masks.append(bits)
                 probs.append(p)
-        return PatternDistribution(d, tuple(support), np.array(probs))
-
-
-@dataclass(frozen=True)
-class ContaminationParams:
-    """Contamination fraction plus observation rates.
-
-    ``q_or_pi`` is either a scalar observation probability in (0, 1] or a
-    PatternDistribution; ``ContaminationSpec.sample`` hands it to the sampler
-    of its kind as the revelation law.
-    """
-
-    epsilon: float
-    q_or_pi: object
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if not isinstance(self.q_or_pi, PatternDistribution):
-            q = float(self.q_or_pi)
-            if not 0.0 < q <= 1.0:
-                raise DomainError(f"q must lie in (0, 1], got {q}")
+        return PatternDistribution(masks, probs)

@@ -29,7 +29,7 @@ from .errors import (
     EstimationError,
     SizeError,
 )
-from .extended import ContaminationParams, ExtendedArray, PatternDistribution, as_univariate
+from .extended import ExtendedArray, PatternDistribution, as_univariate
 from .models import (
     AdversaryLaw,
     Constant,
@@ -371,11 +371,6 @@ class ScenarioConfig:
                     f"d = {d}, epsilon = {epsilon}: it needs n >= {T * (M + 1)} "
                     f"(T = {T} rounds of M = {M} blocks)",
                 )
-        if kind == "regression":
-            _require(
-                all(e in _REGRESSION for e in self.estimators),
-                "regression models accept only regression estimators",
-            )
         if kind == "mcar":
             _require(
                 all(e == 0.0 for e in self.grid["epsilon"]),
@@ -496,18 +491,14 @@ class _CellModel:
                     if pattern_name == "all_or_nothing"
                     else PatternDistribution.independent(d, q)
                 )
-                self.spec = ContaminationSpec("mcar", base, ContaminationParams(0.0, pi))
+                self.spec = ContaminationSpec("mcar", base, 0.0, pi)
             elif kind == "realisable":
                 mech = _build_mechanism(model.get("mechanism", {"name": "constant", "c": 1.0}))
-                self.spec = ContaminationSpec(
-                    "realisable", base, ContaminationParams(epsilon, q), mechanism=mech
-                )
+                self.spec = ContaminationSpec("realisable", base, epsilon, q, mechanism=mech)
             else:
                 cont = _build_contaminant(model.get("contaminant", {"name": "all_star"}), d)
                 pi = PatternDistribution.independent(d, q)
-                self.spec = ContaminationSpec(
-                    "arbitrary", base, ContaminationParams(epsilon, pi), contaminant=cont
-                )
+                self.spec = ContaminationSpec("arbitrary", base, epsilon, pi, contaminant=cont)
             self.theta0 = np.atleast_1d(np.asarray(base.mean(), dtype=float))
             self.label = self.spec.label()
         elif kind == "f1_adversary":

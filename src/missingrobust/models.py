@@ -5,10 +5,11 @@ Sampler determinism contract
 Each sampler derives one child stream per *role* from its seed, via
 ``child_seed(seed, role)``:
 
-- role 1: base draws (one batch of ``base.draws_per_row`` uniforms per row),
+- role 1: base draws (``base.dim`` uniforms per row),
 - role 2: revelation draws (one uniform per row),
 - role 3: contamination flags (one uniform per row),
-- role 4: contaminant draws (one batch per row).
+- role 4: response-dependent reveal draws of ``sample_regression`` (one
+  uniform per row).
 
 Roles are consumed independently, so e.g. the clean-data path of the
 contaminated samplers replays the plain MCAR stream bit for bit when
@@ -24,12 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DimensionError, DomainError, SizeError
-from .extended import (
-    STAR,
-    ContaminationParams,
-    ExtendedArray,
-    PatternDistribution,
-)
+from .extended import STAR, ExtendedArray, PatternDistribution
 from .rng import Stream, child_seed
 
 _ROLE_BASE = 1
@@ -85,10 +81,6 @@ class Gaussian:
     def dim(self) -> int:
         return len(self.theta)
 
-    @property
-    def draws_per_row(self) -> int:
-        return self.dim
-
     def mean(self):
         return float(self.theta[0]) if self.dim == 1 else self.theta.copy()
 
@@ -100,8 +92,7 @@ class Gaussian:
 
     def sample_values(self, stream: Stream, n: int) -> np.ndarray:
         z = stream.normals(n * self.dim).reshape(n, self.dim)
-        x = self.theta + z @ self._chol.T
-        return x[:, 0] if self.dim == 1 else x
+        return self.theta + z @ self._chol.T
 
     def cdf(self, x):
         return ndtr((np.asarray(x, dtype=float) - self.theta[0]) / self.scale)
@@ -131,13 +122,12 @@ class TwoPoint:
     name = "two_point"
     is_continuous = False
     dim = 1
-    draws_per_row = 1
 
     def mean(self) -> float:
         return self.lo * (1.0 - self.p_hi) + self.hi * self.p_hi
 
     def sample_values(self, stream: Stream, n: int) -> np.ndarray:
-        return np.where(stream.uniforms(n) < self.p_hi, self.hi, self.lo)
+        return np.where(stream.uniforms(n) < self.p_hi, self.hi, self.lo)[:, None]
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -232,48 +222,15 @@ class Custom:
 # contaminants for the arbitrary model
 
 
-@dataclass(frozen=True)
-class AtomContaminant:
-    """Finitely supported contaminant on the extended space.
-
-    ``atoms`` is a list of rows over floats and STAR; ``probs`` sum to 1.
-    """
-
-    atoms: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        rows = ExtendedArray.from_rows(self.atoms)
-        probs = np.asarray(self.probs, dtype=float)
-        if len(probs) != rows.n or np.any(probs < 0):
-            raise DomainError("need one nonnegative probability per atom")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise DomainError(f"atom probabilities sum to {probs.sum()}, not 1")
-        probs = probs / probs.sum()
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_rows", rows)
-
-    name = "atoms"
-
-    @property
-    def dim(self) -> int:
-        return self._rows.d
-
-    draws_per_row = 1
-
-    def sample(self, stream: Stream, n: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = stream.categorical(np.cumsum(self.probs), n)
-        return self._rows.values[idx], self._rows.observed[idx]
+def all_star_contaminant(d: int) -> ExtendedArray:
+    """The contaminant that hides the whole row."""
+    return ExtendedArray(np.zeros((1, d)), np.zeros((1, d), dtype=bool))
 
 
-def all_star_contaminant(d: int) -> AtomContaminant:
-    return AtomContaminant(((STAR,) * d,), np.array([1.0]))
-
-
-def point_contaminant(value) -> AtomContaminant:
-    row = tuple(np.atleast_1d(np.asarray(value, dtype=float)))
-    return AtomContaminant((row,), np.array([1.0]))
+def point_contaminant(value) -> ExtendedArray:
+    """The contaminant that reveals one fixed point."""
+    row = np.atleast_1d(np.asarray(value, dtype=float))[None, :]
+    return ExtendedArray(row, np.ones(row.shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +252,12 @@ def _as_pattern(pi, d: int) -> PatternDistribution:
 def sample_mcar(base, pi, n: int, seed: int) -> ExtendedArray:
     """n independent draws of X masked by an independent pattern.
 
-    Consumes n * base.draws_per_row uniforms on role 1 and n on role 2.
+    Consumes n * base.dim uniforms on role 1 and n on role 2.
     """
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     pi = _as_pattern(pi, base.dim)
     x = base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n)
-    x = x[:, None] if base.dim == 1 else x
     masks = pi.sample_masks(Stream(child_seed(seed, _ROLE_MASK)), n)
     return ExtendedArray(x, masks)
 
@@ -319,7 +275,7 @@ def sample_realisable(base, epsilon: float, q: float, mechanism, n: int, seed: i
     3 (flags).
     """
     _validate_eps_q(epsilon, q)
-    x = base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n).reshape(n, base.dim)
+    x = base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n)
     u_reveal = Stream(child_seed(seed, _ROLE_MASK)).uniforms(n)
     w = Stream(child_seed(seed, _ROLE_FLAG)).bernoulli(epsilon, n)
     p = np.where(w, _mech_probs(mechanism, x[:, 0]), q)
@@ -327,28 +283,24 @@ def sample_realisable(base, epsilon: float, q: float, mechanism, n: int, seed: i
 
 
 def sample_arbitrary(base, epsilon: float, pi, contaminant, n: int, seed: int) -> ExtendedArray:
-    """Arbitrary contamination: MCAR draws mixed with a free contaminant.
+    """Arbitrary contamination: MCAR draws mixed with a fixed contaminant row.
 
     With probability 1 - epsilon a row is X masked by an independent pattern;
-    with probability epsilon it is a draw from ``contaminant``.
+    with probability epsilon it is ``contaminant``, a one-row ExtendedArray.
 
-    Consumes n * base.draws_per_row uniforms on role 1, n on role 2, n on
-    role 3, and n * contaminant.draws_per_row on role 4; with epsilon = 0 the
-    output replays sample_mcar(base, pi, n, seed) exactly.
+    Consumes the draws of sample_mcar(base, pi, n, seed) and n uniforms on
+    role 3; with epsilon = 0 the output replays that MCAR sample exactly.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError(f"epsilon must lie in [0, 1], got {epsilon}")
-    pi = _as_pattern(pi, base.dim)
-    if contaminant.dim != base.dim:
+    if contaminant.d != base.dim:
         raise DimensionError("contaminant dimension differs from base dimension")
-    x = base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n)
-    x = x[:, None] if base.dim == 1 else x
-    masks = pi.sample_masks(Stream(child_seed(seed, _ROLE_MASK)), n)
-    w = Stream(child_seed(seed, _ROLE_FLAG)).bernoulli(epsilon, n)
-    cx, cmask = contaminant.sample(Stream(child_seed(seed, _ROLE_CONT)), n)
-    values = np.where(w[:, None], cx, x)
-    observed = np.where(w[:, None], cmask, masks)
-    return ExtendedArray(values, observed)
+    clean = sample_mcar(base, pi, n, seed)
+    w = Stream(child_seed(seed, _ROLE_FLAG)).bernoulli(epsilon, n)[:, None]
+    return ExtendedArray(
+        np.where(w, contaminant.values, clean.values),
+        np.where(w, contaminant.observed, clean.observed),
+    )
 
 
 def _validate_eps_q(epsilon: float, q: float) -> None:
@@ -371,22 +323,31 @@ def _mech_probs(mechanism, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """Base distribution + contamination parameters + the contaminating law.
+    """Base distribution + contamination level + the contaminating law.
 
-    ``kind`` is one of "mcar", "realisable", "arbitrary".  The realisable
-    variant carries a reveal mechanism and no free contaminant; the arbitrary
-    variant carries an explicit contaminant.
+    ``kind`` is one of "mcar", "realisable", "arbitrary".  ``reveal`` is a
+    scalar observation probability q in (0, 1] or a PatternDistribution; the
+    MCAR sampler ignores ``epsilon``.  The realisable variant carries a
+    reveal mechanism and no free contaminant; the arbitrary variant carries
+    a one-row contaminant.
     """
 
     kind: str
     base: object
-    params: ContaminationParams
+    epsilon: float
+    reveal: object
     mechanism: object = None
     contaminant: object = None
 
     def __post_init__(self):
         if self.kind not in ("mcar", "realisable", "arbitrary"):
             raise DomainError(f"unknown contamination kind {self.kind!r}")
+        if not 0.0 <= self.epsilon < 1.0:
+            raise DomainError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        if not isinstance(self.reveal, PatternDistribution):
+            q = float(self.reveal)
+            if not 0.0 < q <= 1.0:
+                raise DomainError(f"q must lie in (0, 1], got {q}")
         if self.kind == "realisable":
             if self.mechanism is None:
                 raise DomainError("realisable contamination needs a mechanism")
@@ -400,17 +361,17 @@ class ContaminationSpec:
         if self.kind == "realisable":
             bits.append(self.mechanism.name)
         if self.kind == "arbitrary":
-            bits.append(self.contaminant.name)
+            bits.append("atoms")
         return ":".join(bits)
 
     def sample(self, n: int, seed: int) -> ExtendedArray:
-        eps = self.params.epsilon
-        qp = self.params.q_or_pi
         if self.kind == "mcar":
-            return sample_mcar(self.base, qp, n, seed)
+            return sample_mcar(self.base, self.reveal, n, seed)
         if self.kind == "realisable":
-            return sample_realisable(self.base, eps, float(qp), self.mechanism, n, seed)
-        return sample_arbitrary(self.base, eps, qp, self.contaminant, n, seed)
+            return sample_realisable(
+                self.base, self.epsilon, float(self.reveal), self.mechanism, n, seed
+            )
+        return sample_arbitrary(self.base, self.epsilon, self.reveal, self.contaminant, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +544,8 @@ def adversary_two_point(r: float, sigma: float, epsilon: float, q: float) -> Two
     b = 0.5 * sigma * a ** (-1.0 / r)
     p1 = TwoPoint(lo=-b, hi=b, p_hi=a / (a + 1.0))
     p2 = TwoPoint(lo=-b, hi=b, p_hi=1.0 / (a + 1.0))
-    params = ContaminationParams(epsilon, q)
-    spec1 = ContaminationSpec("realisable", p1, params, mechanism=ThresholdAbove(0.0))
-    spec2 = ContaminationSpec("realisable", p2, params, mechanism=ThresholdBelow(0.0))
+    spec1 = ContaminationSpec("realisable", p1, epsilon, q, mechanism=ThresholdAbove(0.0))
+    spec2 = ContaminationSpec("realisable", p2, epsilon, q, mechanism=ThresholdBelow(0.0))
     atom = lo_mass / (a + 1.0)
     r0 = {-b: atom, b: atom, STAR: 1.0 - 2.0 * atom}
     return TwoPointPair(
@@ -698,9 +658,12 @@ def read_dataset(path) -> tuple[ExtendedArray, dict]:
             if d and len(cells) != d:
                 raise DimensionError(f"{path}: row has {len(cells)} cells, expected {d}")
             try:
-                vals.append([0.0 if c == "NA" else float(c) for c in cells])
+                row = [0.0 if c == "NA" else float(c) for c in cells]
             except ValueError:
                 raise DomainError(f"{path}: line {lineno} has a non-numeric cell: {line!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise DomainError(f"{path}: line {lineno} has a non-finite cell: {line!r}")
+            vals.append(row)
             obs.append([c != "NA" for c in cells])
     if not vals:
         raise SizeError(f"{path}: no data rows")

@@ -114,8 +114,13 @@ class TestEstimate:
 
     @pytest.mark.parametrize(
         "text, where",
-        [("# d=1 model=m seed=0\n1.5\nfoo\n", "line 3"), ("# d=x model=m seed=0\n1.5\n", "d='x'")],
-        ids=["non_numeric_cell", "non_integer_header"],
+        [
+            ("# d=1 model=m seed=0\n1.5\nfoo\n", "line 3"),
+            ("# d=x model=m seed=0\n1.5\n", "d='x'"),
+            ("# d=1 model=m seed=0\n1.5\ninf\n", "line 3"),
+            ("# d=1 model=m seed=0\n1.5\nnan\n", "line 3"),
+        ],
+        ids=["non_numeric_cell", "non_integer_header", "inf_cell", "nan_cell"],
     )
     def test_malformed_dump_is_exit_two(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.tsv"

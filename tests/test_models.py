@@ -1,5 +1,6 @@
 """Contamination models: mechanisms, samplers, adversary laws, dataset IO."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from missingrobust import (
     STAR,
     AdversaryLaw,
     Constant,
-    ContaminationParams,
     ContaminationSpec,
     Custom,
     DimensionError,
@@ -353,23 +353,87 @@ class TestSandwichCheck:
         assert not ok and worst > 0.0
 
 
+_G1 = Gaussian.univariate(0.5, 2.0)
+_G2 = Gaussian(np.array([0.5, -1.0]), np.array([[1.0, 0.3], [0.3, 2.0]]))
+_G3 = Gaussian(np.array([0.0, 1.0, -1.0]), np.eye(3))
+
+
 class TestContaminationSpec:
     def test_labels(self):
         g = Gaussian.univariate(0.0, 1.0)
-        params = ContaminationParams(0.3, 0.8)
-        spec = ContaminationSpec("realisable", g, params, mechanism=ThresholdAbove(0.0))
+        spec = ContaminationSpec("realisable", g, 0.3, 0.8, mechanism=ThresholdAbove(0.0))
         assert spec.label() == "realisable:gaussian:threshold_above"
-        spec2 = ContaminationSpec("mcar", g, ContaminationParams(0.0, 0.8))
+        spec2 = ContaminationSpec("mcar", g, 0.0, 0.8)
         assert spec2.label() == "mcar:gaussian"
 
     def test_sample_dispatch(self):
         g = Gaussian.univariate(0.0, 1.0)
-        spec = ContaminationSpec(
-            "arbitrary", g, ContaminationParams(0.2, 0.9), contaminant=point_contaminant(9.0)
-        )
+        spec = ContaminationSpec("arbitrary", g, 0.2, 0.9, contaminant=point_contaminant(9.0))
         s = spec.sample(50_000, seed=61)
         want = sample_arbitrary(g, 0.2, 0.9, point_contaminant(9.0), 50_000, seed=61)
         assert s == want
+
+    # sha256 of values.tobytes() and observed.tobytes(); no benchmark workload
+    # reaches these samplers, so these pin their draws bit for bit
+    @pytest.mark.parametrize(
+        "draw, values_sha, observed_sha",
+        [
+            pytest.param(
+                lambda: ContaminationSpec(
+                    "mcar", _G3, 0.0, PatternDistribution.independent(3, [0.5, 0.8, 1.0])
+                ).sample(200, 11),
+                "5007c14664ee5ed8d98e56ae51d4f0063005d21dc85d0e1f98ac783e2ad3d3ef",
+                "e9ca18023100948ba0266399ffc07dbb6cc33611d1c049333aa37446f765fe95",
+                id="mcar_d3_independent",
+            ),
+            pytest.param(
+                lambda: ContaminationSpec(
+                    "mcar", _G2, 0.0, PatternDistribution.all_or_nothing(2, 0.7)
+                ).sample(200, 12),
+                "b5131d917f257f71b55e41273a86edd233f4833988098d1c7a2c5f1aaaa8e737",
+                "954e29a3b5ac3bf22606853bd5683909fd4c124d34afdf627559082b3f92001a",
+                id="mcar_d2_all_or_nothing",
+            ),
+            pytest.param(
+                lambda: ContaminationSpec(
+                    "realisable", _G2, 0.3, 0.6, mechanism=Custom((-0.5, 0.5), (0.2, 0.9, 0.4))
+                ).sample(200, 13),
+                "e3e83b6b52461730b2ddf5e4b89ea1e2b562b62810c6a1e468f853474b6c5029",
+                "4b4d6a925c029bd400b5d2b1edf097233492876e932f637e10b943ebbc7c10b7",
+                id="realisable_d2_custom",
+            ),
+            pytest.param(
+                lambda: ContaminationSpec(
+                    "arbitrary", _G1, 0.2, 0.7, contaminant=point_contaminant(9.0)
+                ).sample(200, 14),
+                "a05d6a682283edbf33bac22da8a17ff5906c925e3eda8c9e856fa13ad9d64e6c",
+                "2702254d41562037083e77d11ad7eb246a692807f4e579cf4d2f17a71d99cd01",
+                id="arbitrary_d1_point",
+            ),
+            pytest.param(
+                lambda: ContaminationSpec(
+                    "arbitrary",
+                    _G2,
+                    0.25,
+                    PatternDistribution.independent(2, [0.6, 0.9]),
+                    contaminant=all_star_contaminant(2),
+                ).sample(200, 15),
+                "ddc136c0452d1336dd16bacd7d11a1b9343cd2dcfbed4c5558ce0dd41980bde0",
+                "6c683dc56c9ed5ff6aaa31238ee935012a6b90f4f25f1df6f4509cdf048aa04e",
+                id="arbitrary_d2_all_star",
+            ),
+            pytest.param(
+                lambda: adversary_two_point(3.0, 1.0, 0.2, 0.8).sample(200, 16, which=2),
+                "c959a8d606195a33c2cfcf4a573a11fc2884e8572dc71f233040a382555c94b6",
+                "7ec807b855fa16e24567090e01af74e3bca6c2691cf6c245a0ea38eb71fb0d74",
+                id="two_point_which_2",
+            ),
+        ],
+    )
+    def test_sample_bytes_are_pinned(self, draw, values_sha, observed_sha):
+        s = draw()
+        assert hashlib.sha256(s.values.tobytes()).hexdigest() == values_sha
+        assert hashlib.sha256(s.observed.tobytes()).hexdigest() == observed_sha
 
 
 class TestDatasetIO:

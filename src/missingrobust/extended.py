@@ -97,31 +97,6 @@ class ExtendedArray:
             raise DimensionError(f"expected univariate data, got d={self.d}")
         return self.values[:, 0], self.observed[:, 0]
 
-    @classmethod
-    def from_rows(cls, rows, d: int | None = None) -> "ExtendedArray":
-        rows = list(rows)
-        if not rows:
-            if d is None:
-                raise DimensionError("cannot infer d from an empty sample")
-            return cls(np.zeros((0, d)), np.zeros((0, d), dtype=bool))
-        first = rows[0]
-        scalar = not isinstance(first, (tuple, list, np.ndarray))
-        if scalar:
-            rows = [(r,) for r in rows]
-        if d is None:
-            d = len(rows[0])
-        vals = np.zeros((len(rows), d))
-        obs = np.zeros((len(rows), d), dtype=bool)
-        for i, r in enumerate(rows):
-            if len(r) != d:
-                raise DimensionError(f"row {i} has length {len(r)}, expected {d}")
-            for j, x in enumerate(r):
-                if is_missing(x):
-                    continue
-                vals[i, j] = _check_finite_scalar(x)
-                obs[i, j] = True
-        return cls(vals, obs)
-
     def __len__(self) -> int:
         return self.n
 

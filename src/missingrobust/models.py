@@ -43,7 +43,7 @@ class Gaussian:
     """Gaussian base with mean vector ``theta`` and covariance ``cov``.
 
     For d = 1 use ``Gaussian.univariate(theta, sigma)``; the scalar interface
-    (cdf/pdf/ppf) is only available in that case.
+    (``scale``, ``cdf``) is only available in that case.
     """
 
     theta: np.ndarray
@@ -96,13 +96,6 @@ class Gaussian:
 
     def cdf(self, x):
         return ndtr((np.asarray(x, dtype=float) - self.theta[0]) / self.scale)
-
-    def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.theta[0]) / self.scale
-        return np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi))
-
-    def ppf(self, u):
-        return self.theta[0] + self.scale * ndtri(np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -421,29 +414,20 @@ class AdversaryLaw:
         centre = -self.a if self.name == "f1" else self.a
         return Gaussian.univariate(centre, self.sigma)
 
-    def _phi(self, x, centre):
-        z = (np.asarray(x, dtype=float) - centre) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-
     def _Phi(self, x, centre):
         return ndtr((np.asarray(x, dtype=float) - centre) / self.sigma)
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.name == "f2":
-            x = -x
-        lo, hi, tau, a = self.lo_mass, self.hi_mass, self.tau, self.a
-        return np.where(
-            x <= 0.0,
-            lo * self._phi(x, -a),
-            np.where(x <= tau, lo * self._phi(x, a), hi * self._phi(x, -a)),
-        )
+    def _knots(self) -> tuple[float, float]:
+        """F1 at the piece boundaries 0 and tau."""
+        lo, tau, a = self.lo_mass, self.tau, self.a
+        f0 = lo * self._Phi(0.0, -a)
+        ftau = f0 + lo * (self._Phi(tau, a) - self._Phi(0.0, a))
+        return f0, ftau
 
     def _cdf_f1(self, x):
         x = np.asarray(x, dtype=float)
         lo, hi, tau, a = self.lo_mass, self.hi_mass, self.tau, self.a
-        f0 = lo * self._Phi(0.0, -a)
-        ftau = f0 + lo * (self._Phi(tau, a) - self._Phi(0.0, a))
+        f0, ftau = self._knots()
         return np.where(
             x <= 0.0,
             lo * self._Phi(x, -a),
@@ -454,54 +438,48 @@ class AdversaryLaw:
             ),
         )
 
+    def _inverse_cdf_f1(self, u: np.ndarray) -> np.ndarray:
+        """F1^{-1}(u) piece by piece through ndtri, clipped to +-(a + 60 sigma).
+
+        The top piece inverts the upper tail, so the far right keeps its
+        absolute accuracy; every ndtri argument is clamped into [0, 1]
+        against rounding at the ends of [0, real_mass()).
+        """
+        lo, hi, tau, a, s = self.lo_mass, self.hi_mass, self.tau, self.a, self.sigma
+        f0, ftau = self._knots()
+        x = np.select(
+            [u < f0, u < ftau],
+            [
+                -a + s * ndtri(np.clip(u / lo, 0.0, 1.0)),
+                a + s * ndtri(np.clip(self._Phi(0.0, a) + (u - f0) / lo, 0.0, 1.0)),
+            ],
+            -a - s * ndtri(np.clip(ndtr(-(tau + a) / s) - (u - ftau) / hi, 0.0, 1.0)),
+        )
+        return np.clip(x, -a - 60.0 * s, a + 60.0 * s)
+
     def real_mass(self) -> float:
         return float(self._cdf_f1(self.a + 60.0 * self.sigma))
-
-    @property
-    def star_mass(self) -> float:
-        return 1.0 - self.real_mass()
 
     def cdf(self, x):
         if self.name == "f1":
             return self._cdf_f1(x)
         return self.real_mass() - self._cdf_f1(-np.asarray(x, dtype=float))
 
-    def observed_mean(self) -> float:
-        """E(Z | Z observed), by closed-form Gaussian partial moments."""
-        lo, hi, tau, a, s = self.lo_mass, self.hi_mass, self.tau, self.a, self.sigma
-
-        def partial(lo_t, hi_t, centre):
-            # integral of x phi((x - centre)/s)/s over (lo_t, hi_t)
-            zl, zh = (lo_t - centre) / s, (hi_t - centre) / s
-            phi = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-            return centre * (ndtr(zh) - ndtr(zl)) + s * (phi(zl) - phi(zh))
-
-        big = 60.0 * s
-        total = (
-            lo * partial(-a - big, 0.0, -a)
-            + lo * partial(0.0, tau, a)
-            + hi * partial(tau, a + big, -a)
-        )
-        m = total / self.real_mass()
-        return float(m if self.name == "f1" else -m)
-
     def sample(self, n: int, seed: int) -> ExtendedArray:
-        """n draws; one uniform per row (role 1), inverted by bisection."""
+        """n draws by inversion; one uniform per row (role 1).
+
+        Row i is observed iff u_i < real_mass(), and its value is the
+        closed-form inverse of the piecewise CDF at u_i; f2 reflects f1,
+        x = -F1^{-1}(real_mass() - u).
+        """
         u = Stream(child_seed(seed, _ROLE_BASE)).uniforms(n)
         mass = self.real_mass()
         observed = u < mass
         values = np.zeros(n)
-        if observed.any():
-            target = u[observed]
-            lo = np.full(target.shape, -self.a - 60.0 * self.sigma)
-            hi = np.full(target.shape, self.a + 60.0 * self.sigma)
-            # bisection on the piecewise CDF, branch-safe near tau
-            while np.max(hi - lo) > 1e-12:
-                mid = 0.5 * (lo + hi)
-                below = self.cdf(mid) < target
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            values[observed] = 0.5 * (lo + hi)
+        if self.name == "f1":
+            values[observed] = self._inverse_cdf_f1(u[observed])
+        else:
+            values[observed] = -self._inverse_cdf_f1(mass - u[observed])
         return ExtendedArray(values[:, None], observed[:, None])
 
 

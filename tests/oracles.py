@@ -10,7 +10,14 @@ bit for bit, so it runs the package's exact batch kernel on every grid row.
 Two paper quantities serve only as references for the tests:
 ``separation_profile``, the distance lower bound between the contamination
 sets of two means, and ``realisable_sandwich_check``, the empirical test of
-the realisable model's density sandwich.
+the realisable model's density sandwich.  The Gaussian density and quantile
+(``gaussian_pdf``, ``gaussian_ppf``), the adversary law's density, STAR mass
+and observed mean, and the row-literal builder ``extended_from_rows`` are
+test references and fixtures too; they use only the public attributes of
+the package's objects.  ``adversary_sample_by_bisection`` is the bisection that
+``AdversaryLaw.sample``'s closed-form inversion replaced: it bisects
+``law.cdf`` on the same role-1 uniforms, so the two routes share only the
+stream and the CDF.
 """
 
 from __future__ import annotations
@@ -21,9 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
-from missingrobust import DomainError, SizeError, as_univariate, dist_to_realisable_batch
+from missingrobust import (
+    STAR,
+    DomainError,
+    ExtendedArray,
+    SizeError,
+    Stream,
+    as_univariate,
+    child_seed,
+    dist_to_realisable_batch,
+)
 
 
 def lp_realisable_distance(
@@ -220,6 +236,88 @@ def gaussian_partial_moment(centre: float, sigma: float, lo: float, hi: float) -
     return centre * (norm.cdf(zh) - norm.cdf(zl)) + sigma * (norm.pdf(zl) - norm.pdf(zh))
 
 
+def gaussian_pdf(base, x):
+    """Density of a univariate ``Gaussian`` base."""
+    z = (np.asarray(x, dtype=float) - base.theta[0]) / base.scale
+    return np.exp(-0.5 * z * z) / (base.scale * math.sqrt(2.0 * math.pi))
+
+
+def gaussian_ppf(base, u):
+    """Quantile function of a univariate ``Gaussian`` base."""
+    return base.theta[0] + base.scale * ndtri(np.asarray(u, dtype=float))
+
+
+def adversary_density(law, x):
+    """Observed-value density of an ``AdversaryLaw``: the lower sandwich
+    envelope left of 0, the reflected bump on (0, tau], the upper envelope
+    beyond tau (mirrored for f2)."""
+    x = np.asarray(x, dtype=float)
+    if law.name == "f2":
+        x = -x
+    lo, hi, tau, a, s = law.lo_mass, law.hi_mass, law.tau, law.a, law.sigma
+
+    def phi(centre):
+        z = (x - centre) / s
+        return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+
+    return np.where(x <= 0.0, lo * phi(-a), np.where(x <= tau, lo * phi(a), hi * phi(-a)))
+
+
+def adversary_star_mass(law) -> float:
+    """Probability that an ``AdversaryLaw`` draw is STAR."""
+    return 1.0 - law.real_mass()
+
+
+def adversary_observed_mean(law) -> float:
+    """E(Z | Z observed) of an ``AdversaryLaw``, by closed-form Gaussian partial moments."""
+    lo, hi, tau, a, s = law.lo_mass, law.hi_mass, law.tau, law.a, law.sigma
+
+    def partial(lo_t, hi_t, centre):
+        # integral of x phi((x - centre)/s)/s over (lo_t, hi_t)
+        zl, zh = (lo_t - centre) / s, (hi_t - centre) / s
+        phi = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return centre * (ndtr(zh) - ndtr(zl)) + s * (phi(zl) - phi(zh))
+
+    big = 60.0 * s
+    total = (
+        lo * partial(-a - big, 0.0, -a)
+        + lo * partial(0.0, tau, a)
+        + hi * partial(tau, a + big, -a)
+    )
+    m = total / law.real_mass()
+    return float(m if law.name == "f1" else -m)
+
+
+def adversary_sample_by_bisection(law, n: int, seed: int) -> ExtendedArray:
+    """``law.sample(n, seed)`` by bisection on ``law.cdf`` to a 1e-12 bracket.
+
+    Draws the same role-1 uniforms and the same mask u < real_mass(), then
+    halves [-a - 60 sigma, a + 60 sigma] on every observed row at once.
+    """
+    u = Stream(child_seed(seed, 1)).uniforms(n)
+    observed = u < law.real_mass()
+    values = np.zeros(n)
+    if observed.any():
+        target = u[observed]
+        lo = np.full(target.shape, -law.a - 60.0 * law.sigma)
+        hi = np.full(target.shape, law.a + 60.0 * law.sigma)
+        # bisection on the piecewise CDF, branch-safe near tau
+        while np.max(hi - lo) > 1e-12:
+            mid = 0.5 * (lo + hi)
+            below = law.cdf(mid) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        values[observed] = 0.5 * (lo + hi)
+    return ExtendedArray(values[:, None], observed[:, None])
+
+
+def extended_from_rows(rows) -> ExtendedArray:
+    """ExtendedArray from equal-length row tuples of floats and STARs."""
+    values = [[0.0 if x is STAR else float(x) for x in row] for row in rows]
+    observed = [[x is not STAR for x in row] for row in rows]
+    return ExtendedArray(values, observed)
+
+
 @dataclass(frozen=True)
 class DiscreteDist:
     """Finitely supported law on R plus a missingness atom."""
@@ -389,7 +487,7 @@ def realisable_sandwich_check(
     lo_mass = q * (1.0 - epsilon)
     hi_mass = lo_mass + epsilon
     slack = 3.0 * math.sqrt(math.log(n) / n)
-    grid = base.ppf(np.linspace(0.005, 0.995, grid_size))
+    grid = gaussian_ppf(base, np.linspace(0.005, 0.995, grid_size))
     z = np.sort(vals[obs])
     h = np.searchsorted(z, grid, side="right") / n
     f = base.cdf(grid)

@@ -11,6 +11,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from missingrobust import (
     write_records_csv,
 )
 from oracles import (
+    adversary_density,
     lp_realisable_distance,
     quad_density_moment,
     quad_observed_mean,
@@ -146,8 +148,9 @@ def test_criterion_05_min_kolmogorov_beats_observed_mean_under_adversary():
     law = AdversaryLaw("f1", 1.0, 1.0, 0.3, 1.0)
     theta0 = law.base.mean()
     span = 1.0 + 60.0
-    mass = quad_density_moment(law.density, 0, -span, span, breaks=(-law.tau, 0.0, law.tau))
-    first = quad_density_moment(law.density, 1, -span, span, breaks=(-law.tau, 0.0, law.tau))
+    density = partial(adversary_density, law)
+    mass = quad_density_moment(density, 0, -span, span, breaks=(-law.tau, 0.0, law.tau))
+    first = quad_density_moment(density, 1, -span, span, breaks=(-law.tau, 0.0, law.tau))
     bias = first / mass - theta0
 
     mk_sq, om_sq = [], []

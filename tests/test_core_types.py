@@ -16,6 +16,7 @@ from missingrobust import (
     child_seed,
     splitmix64,
 )
+from oracles import extended_from_rows
 
 
 class TestStream:
@@ -90,7 +91,7 @@ class TestExtendedArray:
         assert repr(STAR) == "STAR"
 
     def test_round_trip_rows(self):
-        arr = ExtendedArray.from_rows([(1.0, STAR), (STAR, 2.0), (3.0, 4.0)])
+        arr = extended_from_rows([(1.0, STAR), (STAR, 2.0), (3.0, 4.0)])
         assert arr.n == 3 and arr.d == 2
         assert arr.values[0, 0] == 1.0 and arr.values[1, 1] == 2.0
         assert arr.observed[:2].tolist() == [[True, False], [False, True]]
@@ -101,10 +102,10 @@ class TestExtendedArray:
             ExtendedArray(np.array([[np.inf]]), np.array([[True]]))
 
     def test_as_univariate_requires_one_column(self):
-        vals, obs = as_univariate(ExtendedArray.from_rows([(1.0,), (STAR,)]))
+        vals, obs = as_univariate(extended_from_rows([(1.0,), (STAR,)]))
         assert vals.shape == (2,) and list(obs) == [True, False]
         with pytest.raises(Exception):
-            as_univariate(ExtendedArray.from_rows([(1.0, 2.0)]))
+            as_univariate(extended_from_rows([(1.0, 2.0)]))
 
 
 class TestPatternDistribution:

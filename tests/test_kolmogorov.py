@@ -27,6 +27,7 @@ from oracles import (
     AnalyticDist,
     DiscreteDist,
     EmpiricalDist,
+    adversary_star_mass,
     kolmogorov_distance,
     lp_realisable_distance,
     separation_profile,
@@ -281,7 +282,7 @@ class TestSetDistanceProperties:
         # so the set distance is at most the distance to that one law
         law = AdversaryLaw("f1", 1.0, 1.0, 0.3, 0.8)
         s = law.sample(2000, seed=3)
-        member = AnalyticDist(law.cdf, star_mass=law.star_mass)
+        member = AnalyticDist(law.cdf, star_mass=adversary_star_mass(law))
         d_member = kolmogorov_distance(EmpiricalDist(s), member)
         spec = RealisableSetSpec(law.base, 0.3, 0.8)
         d_set = dist_to_realisable(EmpiricalSummary.from_sample(s), spec)
@@ -370,8 +371,8 @@ class TestSeparationProfile:
         def pair_distance(a):
             f1 = AdversaryLaw("f1", a, sigma, eps, q)
             f2 = AdversaryLaw("f2", a, sigma, eps, q)
-            d1 = AnalyticDist(f1.cdf, star_mass=f1.star_mass, jump_points=probes)
-            d2 = AnalyticDist(f2.cdf, star_mass=f2.star_mass, jump_points=probes)
+            d1 = AnalyticDist(f1.cdf, star_mass=adversary_star_mass(f1), jump_points=probes)
+            d2 = AnalyticDist(f2.cdf, star_mass=adversary_star_mass(f2), jump_points=probes)
             return kolmogorov_distance(d1, d2)
 
         for a in (0.25, 0.5, 1.0, 2.0):

@@ -20,6 +20,7 @@ from .harness import (
     ESTIMATORS,
     EstimatorContext,
     ScenarioConfig,
+    _check_range,
     generate_datasets,
     rate_table,
     read_records_csv,
@@ -71,6 +72,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    for flag in ("epsilon", "q", "sigma", "delta"):
+        _check_range(flag, getattr(args, flag), f"--{flag}")
     sample, meta = read_dataset(args.data)
     data, d = sample, sample.d
     if args.estimator in _REGRESSION:
@@ -110,6 +113,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_range("delta", args.delta, "--delta")
     records = read_records_csv(args.infile)
     if not records:
         raise ConfigError(f"{args.infile}: no records")

@@ -245,6 +245,21 @@ def _is_finite_list(x) -> bool:
     return isinstance(x, list) and all(_is_finite(v) for v in x)
 
 
+# ranges shared by the scenario grid and delta and the CLI flags of the same names
+_RANGES = {
+    "epsilon": (lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "q": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "sigma": (lambda v: v > 0.0, "a positive number"),
+    "delta": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+}
+
+
+def _check_range(key: str, value, where: str) -> None:
+    """``ConfigError`` naming ``where`` unless ``value`` lies in the range of ``key``."""
+    ok, want = _RANGES[key]
+    _require(_is_number(value) and ok(value), f"{where}: expected {want}, got {value!r}")
+
+
 def _model_value(section: dict, path: str, default, ok, want: str):
     """The entry of ``section`` named by the last part of the dotted ``path``.
 
@@ -296,12 +311,9 @@ class ScenarioConfig:
             _require(_is_int(nn) and nn >= 1, f"grid.n entries must be ints >= 1, got {nn!r}")
         for dd in grid["d"]:
             _require(_is_int(dd) and dd >= 1, f"grid.d entries must be ints >= 1, got {dd!r}")
-        for e in grid["epsilon"]:
-            _require(_is_number(e) and 0.0 <= e < 1.0, f"grid.epsilon entries must be numbers in [0, 1), got {e!r}")
-        for qq in grid["q"]:
-            _require(_is_number(qq) and 0.0 < qq <= 1.0, f"grid.q entries must be numbers in (0, 1], got {qq!r}")
-        for s in grid["sigma"]:
-            _require(_is_number(s) and s > 0.0, f"grid.sigma entries must be positive numbers, got {s!r}")
+        for key in ("epsilon", "q", "sigma"):
+            for v in grid[key]:
+                _check_range(key, v, f"grid.{key} entries")
 
         estimators = raw["estimators"]
         _require(
@@ -311,7 +323,7 @@ class ScenarioConfig:
         reps = raw["reps"]
         _require(_is_int(reps) and reps >= 1, f"reps must be an int >= 1, got {reps!r}")
         delta = raw["delta"]
-        _require(_is_number(delta) and 0.0 < delta <= 1.0, f"delta must be a number in (0, 1], got {delta!r}")
+        _check_range("delta", delta, "delta")
         seed = raw["seed"]
         _require(_is_int(seed), f"seed must be an int, got {seed!r}")
 
@@ -473,11 +485,7 @@ class _CellModel:
 
         if kind in _VECTOR_KINDS:
             center = float(_model_value(model, "model.theta0", 0.0, _is_finite, "a finite number"))
-            base = (
-                Gaussian.univariate(center, sigma)
-                if d == 1
-                else Gaussian(np.full(d, center), sigma**2 * np.eye(d))
-            )
+            base = Gaussian(np.full(d, center), sigma**2 * np.eye(d))
             pattern_name = _model_value(
                 model,
                 "model.pattern",
@@ -516,8 +524,8 @@ class _CellModel:
             r = _model_value(model, "model.r", 2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2")
             pair = adversary_two_point(float(r), sigma, epsilon, q)
             which = _model_value(model, "model.which", 1, lambda v: _is_int(v) and v in (1, 2), "1 or 2")
-            self.pair, self.which = pair, which
-            self.theta0 = np.array([pair.theta1 if which == 1 else pair.theta2])
+            self.spec, theta = (pair.spec1, pair.theta1) if which == 1 else (pair.spec2, pair.theta2)
+            self.theta0 = np.array([theta])
             self.label = f"two_point:{which}"
         else:
             theta0 = _model_value(model, "model.theta0", None, _is_finite_list, "a list of finite numbers")
@@ -542,12 +550,10 @@ class _CellModel:
             self.label = f"regression:{self.design}"
 
     def sample(self, seed: int):
-        if self.kind in _VECTOR_KINDS:
-            return self.spec.sample(self.n, seed)
         if self.kind == "f1_adversary":
             return self.law.sample(self.n, seed)
-        if self.kind == "two_point":
-            return self.pair.sample(self.n, seed, self.which)
+        if self.kind != "regression":
+            return self.spec.sample(self.n, seed)
         # design rows on role 5, response channel on the seed's own roles
         g = Stream(child_seed(seed, 5)).normals(self.n * self.d).reshape(self.n, self.d)
         X = g if self.design == "gaussian" else np.column_stack([np.ones(self.n), g[:, 1:]])

@@ -11,9 +11,10 @@ a batch of candidate bases or a subset of the chain nodes alike.  The
 minimal band width follows in closed form from pairwise node constraints as
 a maximum of prefix-max expressions; the same kernel run on a subset of the
 chain nodes gives a lower bound, which grid scans use to skip candidates
-before the exact pass.  The symmetrized variant is minimized exactly as a
-max of affine functions of the target's total real mass.  The independent
-LP cross-check lives with the tests (``tests/oracles.py``).
+before the exact pass.  The symmetrized variant is minimized exactly over
+the target's total real mass as the upper envelope of five lines, one per
+slope.  The independent LP cross-check lives with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -190,16 +191,30 @@ def dist_to_realisable_batch(
     return _plain_distance(L, U, int(n_total))
 
 
-def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
-    """Symmetrized set distance, solved exactly.
+_SLOPES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])  # of the five lines of t*(c)
 
-    Adds the upper-half-line comparisons to the band constraints.  For a
-    fixed total real mass c of the target, the minimal feasible band width
-    t*(c) is a maximum of affine functions of c (slopes -1, -1/2, 0, 1/2, 1):
-    window/chain crossings contribute the halved terms, crossings with the
-    pinned start node the full-slope ones, and the landing constraints at c
-    close the list.  Minimizing over c at piece intersections is exact up to
-    float rounding.
+
+def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
+    """Symmetrized set distance, solved exactly as the upper envelope of five lines.
+
+    Adds the upper-half-line comparisons to the band constraints.  At total
+    real mass c of the target, the minimal feasible band width t*(c) is the
+    largest of 14 affine lower bounds b + s c.  Rows a = 1, 2 of the window
+    offsets P (lower chain) and Q (upper chain) have slopes s_a = 0, 1; with
+    G the prefix max of P, H the prefix min of Q and D = SL - SU, the bounds
+    are the window pairs (G_a - H_b + D) / 2 (slope (s_a - s_b) / 2), the
+    windows against the pinned start P_a + D and D - Q_b (slopes s_a and
+    -s_b), the landings on c at the last node G_a + SL_{m+1} and
+    -SU_{m+1} - H_b (slopes s_a - 1 and 1 - s_b), and m/n - c, c - m/n.
+
+    Every slope is -1, -1/2, 0, 1/2 or 1, and within a slope class
+    max_i (b_i + s c) = (max_i b_i) + s c, so t*(c) is the maximum of five
+    lines, each with the top intercept of its class.  That maximum is convex
+    and piecewise affine with kinks only where two of the lines cross, so
+    its minimum over [c_lo, c_hi], and that of max(t*, 0), lies at an end
+    or at one of the 10 crossings (each found twice, 22 candidates).
+    Rounding is monotone, so each line's value at a candidate is the
+    largest of its class's pieces bit for bit.
     """
     if not isinstance(summary, EmpiricalSummary):
         summary = EmpiricalSummary.from_sample(summary)
@@ -208,48 +223,26 @@ def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
     SL, SU = bounds.prefix_lower, bounds.prefix_upper  # nodes 1..m+1
     c_lo, c_hi = SL[m], min(1.0, SU[m])
 
-    # pieces as (intercept, slope): t >= intercept + slope * c
-    pieces = [(m / n, -1.0), (-m / n, 1.0)]
+    j = np.arange(m) + np.array([[0], [-m]])  # row 2 carries + c
+    P, Q, D = (j + 1) / n - SL[:m], j / n - SU[:m], SL[:m] - SU[:m]
+    G, H = np.maximum.accumulate(P, axis=-1), np.minimum.accumulate(Q, axis=-1)
 
-    if m >= 1:
-        k = np.arange(1, m + 1)
-        p1 = k / n - SL[:m]
-        p2 = -(m - k) / n - SL[:m]
-        q1 = (k - 1) / n - SU[:m]
-        q2 = -(m - k + 1) / n - SU[:m]
-        D = SL[:m] - SU[:m]
-        G1 = np.maximum.accumulate(p1)
-        G2 = np.maximum.accumulate(p2)
-        H1 = np.minimum.accumulate(q1)
-        H2 = np.minimum.accumulate(q2)
+    def top(x):  # max over the nodes; -inf when there are none (m = 0)
+        return np.max(x, axis=-1, initial=-np.inf)
 
-        # window-vs-window crossings, both band widths in play
-        pieces += [
-            (0.5 * float(np.max(G1 - H1 + D)), 0.0),
-            (0.5 * float(np.max(G1 - H2 + D)), -0.5),
-            (0.5 * float(np.max(G2 - H1 + D)), 0.5),
-            (0.5 * float(np.max(G2 - H2 + D)), 0.0),
-        ]
-        # window-vs-start crossings, single band width
-        pieces += [
-            (float(np.max(p1 + D)), 0.0),
-            (float(np.max(p2 + D)), 1.0),
-            (float(np.max(-q1 + D)), 0.0),
-            (float(np.max(-q2 + D)), -1.0),
-        ]
-        # landing: the forward envelope must straddle c at the last node
-        pieces += [
-            (float(G1[-1]) + SL[m], -1.0),
-            (float(G2[-1]) + SL[m], 0.0),
-            (-SU[m] - float(H1[-1]), 1.0),
-            (-SU[m] - float(H2[-1]), 0.0),
-        ]
-
-    intercepts, slopes = np.array(pieces).T
-    # every pairwise crossing c = (b_j - b_i) / (s_i - s_j) at once
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (intercepts[None, :] - intercepts[:, None]) / (slopes[:, None] - slopes[None, :])
+    window = 0.5 * top(G[:, None] - H[None, :] + D)  # [a, b]: row a of G, row b of H
+    start_p, start_q = top(P + D), top(D - Q)
+    land_p, land_q = top(G[:, -1:]) + SL[m], top(-H[:, -1:]) - SU[m]
+    b = np.array([  # the top intercept of each slope, in _SLOPES order
+        max(m / n, start_q[1], land_p[0]),
+        window[0, 1],
+        max(window[0, 0], window[1, 1], start_p[0], start_q[0], land_p[1], land_q[1]),
+        window[1, 0],
+        max(-m / n, start_p[1], land_q[0]),
+    ])
+    s = _SLOPES
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal; -inf - -inf when m = 0
+        x = (b[None, :] - b[:, None]) / (s[:, None] - s[None, :])
     cands = np.clip(np.concatenate([[c_lo, c_hi], x[np.isfinite(x)]]), c_lo, c_hi)
-    vals = np.max(intercepts[None, :] + np.outer(cands, slopes), axis=1)
+    vals = np.max(b + np.outer(cands, s), axis=1)
     return float(np.min(np.maximum(vals, 0.0)))
-

@@ -505,10 +505,6 @@ class TwoPointPair:
     gap: float
     r0: dict
 
-    def sample(self, n: int, seed: int, which: int = 1) -> ExtendedArray:
-        spec = self.spec1 if which == 1 else self.spec2
-        return spec.sample(n, seed)
-
 
 def adversary_two_point(r: float, sigma: float, epsilon: float, q: float) -> TwoPointPair:
     """Construct the indistinguishable two-atom pair at moment order r."""

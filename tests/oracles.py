@@ -17,7 +17,10 @@ test references and fixtures too; they use only the public attributes of
 the package's objects.  ``adversary_sample_by_bisection`` is the bisection that
 ``AdversaryLaw.sample``'s closed-form inversion replaced: it bisects
 ``law.cdf`` on the same role-1 uniforms, so the two routes share only the
-stream and the CDF.
+stream and the CDF.  ``sym_distance_by_all_crossings`` is the fourteen-piece
+symmetrised distance that the five-line envelope replaced: it shares only
+``ChainBounds`` with the package kernel and evaluates every pairwise
+crossing of its pieces.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from scipy.special import ndtr, ndtri
 
 from missingrobust import (
     STAR,
+    ChainBounds,
     DomainError,
+    EmpiricalSummary,
     ExtendedArray,
     SizeError,
     Stream,
@@ -449,6 +454,69 @@ def mk_full_scan_bracket(summary, epsilon: float, q: float, sigma: float) -> tup
         coarse[start : start + 128] = dist_to_realisable_batch(F, n, lo_mass, lo_mass + epsilon)
     best = int(np.argmin(coarse))
     return float(grid[max(best - 2, 0)]), float(grid[min(best + 2, 511)])
+
+
+def sym_distance_by_all_crossings(summary, spec) -> float:
+    """Symmetrised set distance from the fourteen affine pieces of t*(c).
+
+    For a fixed total real mass c of the target, the minimal feasible band
+    width t*(c) is a maximum of affine functions of c (slopes -1, -1/2, 0,
+    1/2, 1): window/chain crossings contribute the halved terms, crossings
+    with the pinned start node the full-slope ones, and the landing
+    constraints at c close the list.  The minimum over c is taken over both
+    ends of the range and all 182 pairwise crossings of the pieces.
+    """
+    if not isinstance(summary, EmpiricalSummary):
+        summary = EmpiricalSummary.from_sample(summary)
+    m, n = summary.m, summary.n_total
+    bounds = ChainBounds.from_data(summary, spec)
+    SL, SU = bounds.prefix_lower, bounds.prefix_upper  # nodes 1..m+1
+    c_lo, c_hi = SL[m], min(1.0, SU[m])
+
+    # pieces as (intercept, slope): t >= intercept + slope * c
+    pieces = [(m / n, -1.0), (-m / n, 1.0)]
+
+    if m >= 1:
+        k = np.arange(1, m + 1)
+        p1 = k / n - SL[:m]
+        p2 = -(m - k) / n - SL[:m]
+        q1 = (k - 1) / n - SU[:m]
+        q2 = -(m - k + 1) / n - SU[:m]
+        D = SL[:m] - SU[:m]
+        G1 = np.maximum.accumulate(p1)
+        G2 = np.maximum.accumulate(p2)
+        H1 = np.minimum.accumulate(q1)
+        H2 = np.minimum.accumulate(q2)
+
+        # window-vs-window crossings, both band widths in play
+        pieces += [
+            (0.5 * float(np.max(G1 - H1 + D)), 0.0),
+            (0.5 * float(np.max(G1 - H2 + D)), -0.5),
+            (0.5 * float(np.max(G2 - H1 + D)), 0.5),
+            (0.5 * float(np.max(G2 - H2 + D)), 0.0),
+        ]
+        # window-vs-start crossings, single band width
+        pieces += [
+            (float(np.max(p1 + D)), 0.0),
+            (float(np.max(p2 + D)), 1.0),
+            (float(np.max(-q1 + D)), 0.0),
+            (float(np.max(-q2 + D)), -1.0),
+        ]
+        # landing: the forward envelope must straddle c at the last node
+        pieces += [
+            (float(G1[-1]) + SL[m], -1.0),
+            (float(G2[-1]) + SL[m], 0.0),
+            (-SU[m] - float(H1[-1]), 1.0),
+            (-SU[m] - float(H2[-1]), 0.0),
+        ]
+
+    intercepts, slopes = np.array(pieces).T
+    # every pairwise crossing c = (b_j - b_i) / (s_i - s_j) at once
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (intercepts[None, :] - intercepts[:, None]) / (slopes[:, None] - slopes[None, :])
+    cands = np.clip(np.concatenate([[c_lo, c_hi], x[np.isfinite(x)]]), c_lo, c_hi)
+    vals = np.max(intercepts[None, :] + np.outer(cands, slopes), axis=1)
+    return float(np.min(np.maximum(vals, 0.0)))
 
 
 def separation_profile(a: float, b: float | None, sigma: float, epsilon: float, q: float) -> float:

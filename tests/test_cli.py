@@ -1,12 +1,15 @@
 """Exit codes and output shapes for the four CLI subcommands."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import missingrobust
 from missingrobust import observed_mean, read_dataset, read_records_csv, run_scenario
 from missingrobust.cli import main
 from missingrobust.harness import CSV_HEADER, ScenarioConfig
@@ -25,6 +28,18 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def run_module(*args):
+    """``python -m missingrobust.cli *args`` in a child that imports this process's package."""
+    src = str(Path(missingrobust.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "missingrobust.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestGenerate:
@@ -129,6 +144,26 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err and where in err
 
+    @pytest.mark.parametrize(
+        "estimator, flag, value",
+        [
+            ("median_of_means", "--delta", "0"),
+            ("median_of_means", "--delta", "-1"),
+            ("median_of_means", "--delta", "2"),
+            ("min_kolmogorov_multi", "--sigma", "-1"),
+            ("observed_mean", "--epsilon", "1"),
+            ("observed_mean", "--q", "0"),
+            ("min_kolmogorov", "--epsilon", "nan"),
+        ],
+    )
+    def test_out_of_range_flag_is_exit_one(self, tmp_path, capsys, estimator, flag, value):
+        path = self.make_dataset(tmp_path)
+        capsys.readouterr()
+        assert main(["estimate", "--estimator", estimator, "--data", str(path), flag, value]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: {flag}:")
+
     def test_unknown_estimator_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--estimator", "zzz", "--data", "x.tsv"])
@@ -176,6 +211,13 @@ class TestSimulateAndReport:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "grid.n = 1000" in err and "n >= 1723500" in err
 
+    def test_report_out_of_range_delta_is_exit_one(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(results)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--in", str(results), "--delta", "0", "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error: --delta:")
+
     def test_report_missing_file_is_exit_two(self, tmp_path, capsys):
         code = main(["report", "--in", str(tmp_path / "none.csv"), "--out", str(tmp_path / "t.csv")])
         assert code == 2
@@ -189,11 +231,7 @@ class TestProcessEntry:
     )
     def test_mistyped_grid_entry_is_exit_one_without_traceback(self, tmp_path, grid, key):
         cfg = write_config(tmp_path, grid=grid)
-        proc = subprocess.run(
-            [sys.executable, "-m", "missingrobust.cli", "simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
@@ -253,11 +291,7 @@ class TestProcessEntry:
     def test_bad_model_key_is_exit_one_without_traceback(self, tmp_path, model, grid, key):
         estimators = ["ols_observed"] if model["kind"] == "regression" else ["observed_mean"]
         cfg = write_config(tmp_path, model=model, estimators=estimators, grid=grid)
-        proc = subprocess.run(
-            [sys.executable, "-m", "missingrobust.cli", "simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
@@ -267,10 +301,17 @@ class TestProcessEntry:
         cfg = write_config(tmp_path)
         out = tmp_path / "data"
         out.mkdir()
-        proc = subprocess.run(
-            [sys.executable, "-m", "missingrobust.cli", "generate", "--config", str(cfg), "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("generate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0
         assert "wrote 2 datasets" in proc.stdout
+
+    def test_zero_delta_flag_is_exit_one_without_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, reps=1)
+        out = tmp_path / "data"
+        assert run_module("generate", "--config", str(cfg), "--out", str(out)).returncode == 0
+        data = out / "mcar_gaussian_c000_r000.tsv"
+        proc = run_module("estimate", "--estimator", "median_of_means", "--data", str(data), "--delta", "0")
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: --delta:")

@@ -21,6 +21,7 @@ from missingrobust import (
     dist_to_realisable,
     dist_to_realisable_batch,
     dist_to_realisable_sym,
+    residual_set,
 )
 from missingrobust.kolmogorov import _plain_distance
 from oracles import (
@@ -31,6 +32,7 @@ from oracles import (
     kolmogorov_distance,
     lp_realisable_distance,
     separation_profile,
+    sym_distance_by_all_crossings,
     sym_kolmogorov_distance,
 )
 
@@ -80,6 +82,12 @@ def sym_cases():
     yield "m300", EmpiricalSummary(m300, 340), RealisableSetSpec(Gaussian.univariate(0.1, 1.2), 0.25, 0.85)
     # the residual set of the regression fit: epsilon = 1 - q(1 - eps), q = 1
     yield "residual_set", EmpiricalSummary(Stream(65).normals(500), 600), RealisableSetSpec(STD, 1.0 - 0.8 * 0.6, 1.0)
+    # decided by the upper windows against the pinned start (-q1 + D) and by
+    # the zero-slope landing of the lower chain (G2 + SL): without either
+    # piece the result drops by 0.128 and 0.121
+    quarters = np.round(4.0 * (0.4 * Stream(5928).normals(26) + 1.1)) / 4.0
+    yield "upper_start", EmpiricalSummary(quarters, 50), RealisableSetSpec(Gaussian.univariate(0.4, 1.3), 0.37, 1.0)
+    yield "lower_landing", EmpiricalSummary(0.6 * Stream(9139).normals(14) - 1.1, 24), RealisableSetSpec(Gaussian.univariate(0.1, 1.4), 0.3, 1.0)
 
 
 # dist_to_realisable_sym as float.hex, taken from the 14-pass crossing loop
@@ -93,7 +101,37 @@ SYM_PINNED = {
     "rounded": "0x1.348f4c85d2212p-2",
     "m300": "0x1.290c81541f968p-3",
     "residual_set": "0x1.de54074a8daa0p-7",
+    "upper_start": "0x1.56567d5f2c9e6p-2",
+    "lower_landing": "0x1.8848dbe7f46bep-2",
 }
+
+
+def reference_instances():
+    """Seeded (summary, spec) pairs for the bit-exact check against all 182 crossings.
+
+    A fifth each has m = 0-3, ties (data on a half grid), epsilon = 0, q = 1
+    or a ``residual_set`` level; the last 100 have regression sizes, m =
+    3000-4000 residuals of n = 5000 rows at ``residual_set(1, epsilon, q)``.
+    """
+    rng = np.random.default_rng(909)
+    for i in range(2000):
+        kind = i % 5
+        m = int(rng.integers(0, 4)) if kind == 0 else int(rng.integers(1, 301))
+        n = m + int(rng.integers(0, m + 2)) or 1
+        z = rng.normal(scale=2.0, size=m)
+        if kind == 1:
+            z = np.round(2.0 * z) / 2.0
+        eps = 0.0 if kind == 2 else float(rng.uniform(0.0, 0.8))
+        q = 1.0 if kind == 3 else float(rng.uniform(0.2, 1.0))
+        sigma = float(rng.uniform(0.5, 2.0))
+        if kind == 4:
+            spec = residual_set(sigma, eps, q)
+        else:
+            spec = RealisableSetSpec(Gaussian.univariate(float(rng.uniform(-1, 1)), sigma), eps, q)
+        yield EmpiricalSummary(z, n), spec
+    for _ in range(100):
+        z = rng.normal(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(0.8, 1.2)), size=int(rng.integers(3000, 4001)))
+        yield EmpiricalSummary(z, 5000), residual_set(1.0, float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.5, 1.0)))
 
 
 class TestSummaryAndSpec:
@@ -184,6 +222,11 @@ class TestOracleAgreement:
         got_sym = dist_to_realisable_sym(summary, spec)
         assert got_sym == pytest.approx(want_sym, abs=1e-6)
         assert got_sym >= got - 1e-9
+
+    def test_sym_matches_all_crossings_bit_for_bit(self):
+        for k, (summary, spec) in enumerate(reference_instances()):
+            want = sym_distance_by_all_crossings(summary, spec)
+            assert dist_to_realisable_sym(summary, spec) == want, (k, summary.m, summary.n_total)
 
     def test_seeded_instances(self):
         rng = np.random.default_rng(123)

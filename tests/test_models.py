@@ -329,8 +329,8 @@ class TestTwoPointPair:
     def test_both_specs_induce_the_shared_law(self):
         pair = adversary_two_point(2.0, 1.0, 0.3, 0.8)
         n = 200_000
-        for which in (1, 2):
-            s = pair.sample(n, seed=41, which=which)
+        for spec in (pair.spec1, pair.spec2):
+            s = spec.sample(n, seed=41)
             vals, obs = as_univariate(s)
             freq_star = 1.0 - obs.mean()
             freq_lo = np.mean(vals[obs] == -pair.b)
@@ -484,7 +484,7 @@ class TestContaminationSpec:
                 id="arbitrary_d2_all_star",
             ),
             pytest.param(
-                lambda: adversary_two_point(3.0, 1.0, 0.2, 0.8).sample(200, 16, which=2),
+                lambda: adversary_two_point(3.0, 1.0, 0.2, 0.8).spec2.sample(200, 16),
                 "c959a8d606195a33c2cfcf4a573a11fc2884e8572dc71f233040a382555c94b6",
                 "7ec807b855fa16e24567090e01af74e3bca6c2691cf6c245a0ea38eb71fb0d74",
                 id="two_point_which_2",

@@ -67,7 +67,6 @@ from .models import (
 )
 from .multivariate import (
     DescentConfig,
-    SphereNet,
     as_block_means,
     iterative_robust_descent,
     multivariate_mk,

@@ -1,12 +1,15 @@
 """Monte Carlo scenario runner, quantile summaries, and CSV plumbing.
 
 A scenario config names one data model, a list of estimators, and a grid of
-(n, d, epsilon, q, sigma) cells.  Every cell x replication gets the child
-seed ``child_seed(master, cell_index, rep)``; the sample it generates is
-shared by all estimators of that replication, and estimator j's own
-randomness (partitions, nets, restarts) is seeded
-``child_seed(rep_seed, 100 + j)``.  Failures of an estimator on a
-particular sample are recorded as NA rows instead of aborting the run.
+(n, d, epsilon, q, sigma) cells.  Loading a config builds each cell's model
+once, checking the rules of its model kind there, and keeps it: a built
+model holds no random state, so it serves every replication, serial or in a
+pool worker.  Every cell x replication gets the child seed
+``child_seed(master, cell_index, rep)``; the sample it generates is shared
+by all estimators of that replication, and estimator j's own randomness
+(partitions, nets, restarts) is seeded ``child_seed(rep_seed, 100 + j)``.
+Failures of an estimator on a particular sample are recorded as NA rows
+instead of aborting the run.
 
 ``runtime_ms`` is emitted as NA: wall-clock readings differ between serial
 and worker-pool runs, which would break byte-identical output.
@@ -17,8 +20,10 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .models import (
     sample_regression,
 )
 from .multivariate import (
+    _NET_MAX_D,
     DescentConfig,
     _descent_plan,
     iterative_robust_descent,
@@ -75,8 +81,6 @@ __all__ = [
     "run_estimator",
 ]
 
-CSV_HEADER = "scenario,estimator,n,d,epsilon,q,sigma,rep,seed,sq_error,runtime_ms"
-
 _CONFIG_KEYS = {"model", "estimators", "grid", "reps", "delta", "seed"}
 _GRID_KEYS = ("n", "d", "epsilon", "q", "sigma")
 _GRID_DEFAULTS = {"d": [1], "epsilon": [0.0], "q": [1.0], "sigma": [1.0]}
@@ -102,6 +106,8 @@ class EstimatorContext:
 
 @dataclass(frozen=True)
 class ResultRecord:
+    """One row of the results CSV; the field order is the column order."""
+
     scenario: str
     estimator: str
     n: int
@@ -114,17 +120,15 @@ class ResultRecord:
     sq_error: float | None
     runtime_ms: float | None = None
 
-    def sort_key(self):
-        return (
-            self.scenario,
-            self.estimator,
-            self.n,
-            self.d,
-            self.epsilon,
-            self.q,
-            self.sigma,
-            self.rep,
-        )
+    def sort_key(self) -> tuple:
+        """The columns up to ``rep``, which identify a record within a run."""
+        return _KEY_COLUMNS(self)
+
+
+_COLUMNS = tuple(f.name for f in fields(ResultRecord))
+CSV_HEADER = ",".join(_COLUMNS)
+_ROW = attrgetter(*_COLUMNS)
+_KEY_COLUMNS = attrgetter(*_COLUMNS[: _COLUMNS.index("rep") + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +267,25 @@ def _check_range(key: str, value, where: str) -> None:
 def _model_value(section: dict, path: str, default, ok, want: str):
     """The entry of ``section`` named by the last part of the dotted ``path``.
 
-    Falls back to ``default`` when the entry is absent and raises a
-    ``ConfigError`` naming ``path`` when ``ok`` rejects the value.
+    Falls back to ``default`` when the entry is absent (a ``None`` default
+    makes the entry required) and raises a ``ConfigError`` naming ``path``
+    when the entry is missing or ``ok`` rejects the value.
     """
-    value = section.get(path.rsplit(".", 1)[-1], default)
+    parent, key = path.rsplit(".", 1)
+    _require(key in section or default is not None, f"{parent} needs key {key!r} ({path} must be {want})")
+    value = section.get(key, default)
     _require(ok(value), f"{path} must be {want}, got {value!r}")
     return value
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; construct from a dict or JSON file."""
+    """Validated scenario description; construct from a dict or JSON file.
+
+    Construction derives ``cells``, the grid points (n, d, epsilon, q,
+    sigma) in product order, and ``cell_models``, the model built for each
+    of them, then checks the estimators against them.
+    """
 
     model: dict
     estimators: tuple
@@ -281,6 +293,14 @@ class ScenarioConfig:
     reps: int
     delta: float
     seed: int
+    cells: tuple = field(init=False)
+    cell_models: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cells = tuple(product(*(self.grid[key] for key in _GRID_KEYS)))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cell_models", tuple(_CellModel(self.model, *cell) for cell in cells))
+        self._validate_compatibility()
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
@@ -327,11 +347,7 @@ class ScenarioConfig:
         seed = raw["seed"]
         _require(_is_int(seed), f"seed must be an int, got {seed!r}")
 
-        cfg = ScenarioConfig(model, tuple(estimators), grid, reps, float(delta), seed)
-        cfg._validate_compatibility()
-        for cell in cfg.cells():
-            _CellModel(model, *cell)
-        return cfg
+        return ScenarioConfig(model, tuple(estimators), grid, reps, float(delta), seed)
 
     @staticmethod
     def from_json(path) -> "ScenarioConfig":
@@ -345,6 +361,7 @@ class ScenarioConfig:
         return ScenarioConfig.from_dict(raw)
 
     def _validate_compatibility(self) -> None:
+        """Estimator rules; each model kind's own rules are checked where its cells are built."""
         kind = self.model["kind"]
         ds = self.grid["d"]
         for name in self.estimators:
@@ -374,8 +391,13 @@ class ScenarioConfig:
                         "estimator 'min_kolmogorov_multi' needs all-or-nothing missingness for d > 1 "
                         f"but model kind {kind!r} uses per-coordinate patterns",
                     )
+                    _require(
+                        max(ds) <= _NET_MAX_D,
+                        f"grid.d = {max(ds)} is too large for estimator 'min_kolmogorov_multi': "
+                        f"its quarter net is capped at d = {_NET_MAX_D}",
+                    )
         if "iterative_robust_descent" in self.estimators:
-            for n, d, epsilon, _, _ in self.cells():
+            for n, d, epsilon, _, _ in self.cells:
                 T, M = _descent_plan(n, d, epsilon, self.delta, DescentConfig())
                 _require(
                     n >= T * (M + 1),
@@ -383,31 +405,6 @@ class ScenarioConfig:
                     f"d = {d}, epsilon = {epsilon}: it needs n >= {T * (M + 1)} "
                     f"(T = {T} rounds of M = {M} blocks)",
                 )
-        if kind == "mcar":
-            _require(
-                all(e == 0.0 for e in self.grid["epsilon"]),
-                "mcar model requires grid.epsilon == [0.0]",
-            )
-        if kind in ("f1_adversary", "two_point"):
-            _require(all(d == 1 for d in ds), f"model kind {kind!r} is univariate but grid.d = {ds}")
-            _require(
-                all(e > 0.0 for e in self.grid["epsilon"]),
-                f"model kind {kind!r} needs epsilon > 0",
-            )
-        if kind == "f1_adversary":
-            _require("a" in self.model, "f1_adversary model needs key 'a'")
-        if kind == "regression":
-            _require("theta0" in self.model, "regression model needs key 'theta0' (a list)")
-            th = self.model["theta0"]
-            _require(isinstance(th, list) and len(th) >= 1, "regression theta0 must be a list")
-            _require(
-                all(d == len(th) for d in ds),
-                f"regression grid.d = {ds} must equal len(theta0) = {len(th)}",
-            )
-
-    def cells(self) -> list[tuple]:
-        g = self.grid
-        return list(product(g["n"], g["d"], g["epsilon"], g["q"], g["sigma"]))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +466,26 @@ def _build_contaminant(cdict, d: int) -> object:
     raise ConfigError(f"unknown contaminant {name!r}")
 
 
+def _independent_pattern(d: int, q: float) -> PatternDistribution:
+    try:
+        return PatternDistribution.independent(d, q)
+    except SizeError as e:
+        raise ConfigError(f"grid.d = {d} is too large for per-coordinate missingness: {e}") from None
+
+
+def _residual_above(theta0: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Response-MNAR reveal: 1 where the response lies on or above the regression line."""
+    return (y >= X @ theta0).astype(float)
+
+
 class _CellModel:
     """Sampler + target for one grid cell of one scenario.
 
-    Every model key is read through ``_model_value``, so a bad value is a
-    ``ConfigError`` naming its key; ``ScenarioConfig.from_dict`` builds each
-    cell once to surface these at load time.
+    Every model key is read through ``_model_value`` and each model kind's
+    rules on the grid cell are checked in its branch, so a bad config is a
+    ``ConfigError`` naming its key.  ``ScenarioConfig.from_dict`` builds each
+    cell once and keeps it; a built cell holds no random state and pickles,
+    so it serves every replication in any process.
     """
 
     def __init__(self, model: dict, n: int, d: int, epsilon: float, q: float, sigma: float):
@@ -494,10 +505,11 @@ class _CellModel:
                 "'independent' or 'all_or_nothing'",
             )
             if kind == "mcar":
+                _require(epsilon == 0.0, f"mcar model requires grid.epsilon == [0.0], got {epsilon}")
                 pi = (
                     PatternDistribution.all_or_nothing(d, q)
                     if pattern_name == "all_or_nothing"
-                    else PatternDistribution.independent(d, q)
+                    else _independent_pattern(d, q)
                 )
                 self.spec = ContaminationSpec("mcar", base, 0.0, pi)
             elif kind == "realisable":
@@ -505,30 +517,30 @@ class _CellModel:
                 self.spec = ContaminationSpec("realisable", base, epsilon, q, mechanism=mech)
             else:
                 cont = _build_contaminant(model.get("contaminant", {"name": "all_star"}), d)
-                pi = PatternDistribution.independent(d, q)
+                pi = _independent_pattern(d, q)
                 self.spec = ContaminationSpec("arbitrary", base, epsilon, pi, contaminant=cont)
             self.theta0 = np.atleast_1d(np.asarray(base.mean(), dtype=float))
             self.label = self.spec.label()
-        elif kind == "f1_adversary":
-            law = AdversaryLaw(
-                _model_value(model, "model.law", "f1", lambda v: v in ("f1", "f2"), "'f1' or 'f2'"),
-                float(_model_value(model, "model.a", None, lambda v: _is_finite(v) and v > 0, "a positive number")),
-                sigma,
-                epsilon,
-                q,
-            )
-            self.law = law
-            self.theta0 = np.atleast_1d(np.asarray(law.base.mean(), dtype=float))
-            self.label = f"f1_adversary:{law.name}"
-        elif kind == "two_point":
-            r = _model_value(model, "model.r", 2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2")
-            pair = adversary_two_point(float(r), sigma, epsilon, q)
-            which = _model_value(model, "model.which", 1, lambda v: _is_int(v) and v in (1, 2), "1 or 2")
-            self.spec, theta = (pair.spec1, pair.theta1) if which == 1 else (pair.spec2, pair.theta2)
-            self.theta0 = np.array([theta])
-            self.label = f"two_point:{which}"
+        elif kind in ("f1_adversary", "two_point"):
+            _require(d == 1, f"model kind {kind!r} is univariate but grid.d = {d}")
+            _require(epsilon > 0.0, f"model kind {kind!r} needs epsilon > 0, got {epsilon}")
+            if kind == "f1_adversary":
+                law_name = _model_value(model, "model.law", "f1", lambda v: v in ("f1", "f2"), "'f1' or 'f2'")
+                a = _model_value(model, "model.a", None, lambda v: _is_finite(v) and v > 0, "a positive number")
+                law = AdversaryLaw(law_name, float(a), sigma, epsilon, q)
+                self.law = law
+                self.theta0 = np.atleast_1d(np.asarray(law.base.mean(), dtype=float))
+                self.label = f"f1_adversary:{law.name}"
+            else:
+                r = _model_value(model, "model.r", 2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2")
+                pair = adversary_two_point(float(r), sigma, epsilon, q)
+                which = _model_value(model, "model.which", 1, lambda v: _is_int(v) and v in (1, 2), "1 or 2")
+                self.spec, theta = (pair.spec1, pair.theta1) if which == 1 else (pair.spec2, pair.theta2)
+                self.theta0 = np.array([theta])
+                self.label = f"two_point:{which}"
         else:
             theta0 = _model_value(model, "model.theta0", None, _is_finite_list, "a list of finite numbers")
+            _require(len(theta0) == d, f"regression grid.d = {d} must equal len(theta0) = {len(theta0)}")
             self.theta0 = np.asarray(theta0, dtype=float)
             self.design = _model_value(
                 model,
@@ -540,11 +552,10 @@ class _CellModel:
             m2 = model.get("mechanism2", {"name": "constant", "c": 1.0})
             _require(isinstance(m2, dict) and "name" in m2, "mechanism2 must be an object with a 'name'")
             if m2["name"] == "constant":
-                c = float(_model_value(m2, "model.mechanism2.c", 1.0, _probability, "a number in [0, 1]"))
-                self.mechanism2 = lambda X, y: c
+                c = _model_value(m2, "model.mechanism2.c", 1.0, _probability, "a number in [0, 1]")
+                self.mechanism2 = float(c)
             elif m2["name"] == "residual_above":
-                th = self.theta0
-                self.mechanism2 = lambda X, y: (y >= X @ th).astype(float)
+                self.mechanism2 = partial(_residual_above, self.theta0)
             else:
                 raise ConfigError(f"unknown mechanism2 {m2['name']!r}")
             self.label = f"regression:{self.design}"
@@ -565,38 +576,49 @@ class _CellModel:
 # scenario execution
 
 
-def _run_task(config: ScenarioConfig, cell_idx: int, rep: int) -> list[ResultRecord]:
-    n, d, epsilon, q, sigma = config.cells()[cell_idx]
-    model = _CellModel(config.model, n, d, epsilon, q, sigma)
-    rep_seed = child_seed(config.seed, cell_idx, rep)
-    data = model.sample(rep_seed)
+def _run_task(
+    cell: _CellModel, estimators: tuple, delta: float, rep: int, rep_seed: int
+) -> list[ResultRecord]:
+    data = cell.sample(rep_seed)
     records = []
-    for j, name in enumerate(config.estimators):
-        ctx = EstimatorContext(epsilon, q, sigma, config.delta, d, child_seed(rep_seed, 100 + j))
+    for j, name in enumerate(estimators):
+        ctx = EstimatorContext(cell.epsilon, cell.q, cell.sigma, delta, cell.d, child_seed(rep_seed, 100 + j))
         try:
             est = run_estimator(name, data, ctx)
-            sq = float(np.sum((est - model.theta0) ** 2))
+            sq = float(np.sum((est - cell.theta0) ** 2))
         except _NUMERIC_ERRORS:
             sq = None
         records.append(
-            ResultRecord(model.label, name, n, d, epsilon, q, sigma, rep, rep_seed, sq)
+            ResultRecord(
+                cell.label, name, cell.n, cell.d, cell.epsilon, cell.q, cell.sigma, rep, rep_seed, sq
+            )
         )
     return records
+
+
+def _replications(config: ScenarioConfig):
+    """(cell index, cell model, rep, rep seed) of every replication, in task order."""
+    for ci, cell in enumerate(config.cell_models):
+        for rep in range(config.reps):
+            yield ci, cell, rep, child_seed(config.seed, ci, rep)
 
 
 def run_scenario(config: ScenarioConfig, workers: int | None = None) -> list[ResultRecord]:
     """All grid cells x reps x estimators, deterministically ordered.
 
-    ``workers`` > 1 fans replications out to a process pool; the merged
-    output is sorted on the full record key, so worker count never changes
-    the result.
+    ``workers`` > 1 fans replications out to a process pool, each task
+    carrying only its own cell model; the merged output is sorted on the
+    full record key, so worker count never changes the result.
     """
-    tasks = [(ci, rep) for ci in range(len(config.cells())) for rep in range(config.reps)]
+    tasks = [
+        (cell, config.estimators, config.delta, rep, rep_seed)
+        for _, cell, rep, rep_seed in _replications(config)
+    ]
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_task, [config] * len(tasks), *zip(*tasks)))
+            chunks = list(pool.map(_run_task, *zip(*tasks)))
     else:
-        chunks = [_run_task(config, ci, rep) for ci, rep in tasks]
+        chunks = [_run_task(*task) for task in tasks]
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=ResultRecord.sort_key)
     return records
@@ -613,20 +635,17 @@ def generate_datasets(config: ScenarioConfig, out_dir) -> list[str]:
     from .models import write_dataset
 
     paths = []
-    for ci, (n, d, epsilon, q, sigma) in enumerate(config.cells()):
-        model = _CellModel(config.model, n, d, epsilon, q, sigma)
-        for rep in range(config.reps):
-            rep_seed = child_seed(config.seed, ci, rep)
-            data = model.sample(rep_seed)
-            if isinstance(data, tuple):
-                X, Z = data
-                values = np.column_stack([X, Z.values[:, 0]])
-                observed = np.column_stack([np.ones(X.shape, dtype=bool), Z.observed[:, 0]])
-                data = ExtendedArray(values, observed)
-            name = f"{model.label.replace(':', '_')}_c{ci:03d}_r{rep:03d}.tsv"
-            path = os.path.join(out_dir, name)
-            write_dataset(path, data, model.label, rep_seed)
-            paths.append(path)
+    for ci, cell, rep, rep_seed in _replications(config):
+        data = cell.sample(rep_seed)
+        if isinstance(data, tuple):
+            X, Z = data
+            values = np.column_stack([X, Z.values[:, 0]])
+            observed = np.column_stack([np.ones(X.shape, dtype=bool), Z.observed[:, 0]])
+            data = ExtendedArray(values, observed)
+        name = f"{cell.label.replace(':', '_')}_c{ci:03d}_r{rep:03d}.tsv"
+        path = os.path.join(out_dir, name)
+        write_dataset(path, data, cell.label, rep_seed)
+        paths.append(path)
     return paths
 
 
@@ -699,25 +718,16 @@ def write_records_csv(records, path) -> None:
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.scenario,
-                        r.estimator,
-                        r.n,
-                        r.d,
-                        r.epsilon,
-                        r.q,
-                        r.sigma,
-                        r.rep,
-                        r.seed,
-                        r.sq_error,
-                        r.runtime_ms,
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(map(_fmt, _ROW(r))) + "\n")
+
+
+def _optional_float(text: str) -> float | None:
+    return None if text == "NA" else float(text)
+
+
+# column parsers, keyed by the ResultRecord field annotations
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": _optional_float}
+_COLUMN_PARSERS = tuple(_PARSERS[f.type] for f in fields(ResultRecord))
 
 
 def read_records_csv(path) -> list[ResultRecord]:
@@ -729,23 +739,9 @@ def read_records_csv(path) -> list[ResultRecord]:
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
             try:
-                if len(parts) != 11:
-                    raise ValueError(f"{len(parts)} fields, expected 11")
-                records.append(
-                    ResultRecord(
-                        scenario=parts[0],
-                        estimator=parts[1],
-                        n=int(parts[2]),
-                        d=int(parts[3]),
-                        epsilon=float(parts[4]),
-                        q=float(parts[5]),
-                        sigma=float(parts[6]),
-                        rep=int(parts[7]),
-                        seed=int(parts[8]),
-                        sq_error=None if parts[9] == "NA" else float(parts[9]),
-                        runtime_ms=None if parts[10] == "NA" else float(parts[10]),
-                    )
-                )
+                if len(parts) != len(_COLUMNS):
+                    raise ValueError(f"{len(parts)} fields, expected {len(_COLUMNS)}")
+                records.append(ResultRecord(*(parse(p) for parse, p in zip(_COLUMN_PARSERS, parts))))
             except ValueError as e:
                 raise ConfigError(f"{path}: line {lineno}: malformed row {line!r} ({e})") from None
     return records

@@ -22,7 +22,6 @@ from .univariate import mk_estimate, order_median, trimmed_mean
 
 __all__ = [
     "DescentConfig",
-    "SphereNet",
     "as_block_means",
     "solve_sdp_approx",
     "robust_block_descent",
@@ -52,22 +51,6 @@ class DescentConfig:
     def __post_init__(self):
         if self.a1 <= 0 or self.a2 < 1 or self.a3 < 1:
             raise DomainError("need a1 > 0 and a2, a3 >= 1")
-
-
-@dataclass(frozen=True)
-class SphereNet:
-    directions: np.ndarray
-
-    def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise DomainError("net directions must be unit vectors")
-        dirs.setflags(write=False)
-        object.__setattr__(self, "directions", dirs)
-
-    def __len__(self) -> int:
-        return len(self.directions)
 
 
 def as_block_means(means) -> np.ndarray:
@@ -255,8 +238,15 @@ def iterative_robust_descent(
     return theta
 
 
-def quarter_net(d: int, seed: int) -> SphereNet:
+# largest d quarter_net builds a net for; scenario configs refuse a larger d
+# for min_kolmogorov_multi at load
+_NET_MAX_D = 8
+
+
+def quarter_net(d: int, seed: int) -> np.ndarray:
     """Greedy 1/4-separated net on the unit sphere, coverage-audited.
+
+    Returns the net's K unit directions as a read-only (K, d) array.
 
     Candidates, drawn in batches of 256, are accepted in stream order while
     farther than 1/4 from every kept point; the loop ends after a run of
@@ -269,10 +259,12 @@ def quarter_net(d: int, seed: int) -> SphereNet:
     """
     if d < 1:
         raise DomainError(f"d must be at least 1, got {d}")
-    if d > 8:
-        raise SizeError(f"net construction capped at d = 8, got {d}")
+    if d > _NET_MAX_D:
+        raise SizeError(f"net construction capped at d = {_NET_MAX_D}, got {d}")
     if d == 1:
-        return SphereNet(np.array([[-1.0], [1.0]]))
+        net = np.array([[-1.0], [1.0]])
+        net.setflags(write=False)
+        return net
 
     limit = min(10**4 * 9**d, 200_000)
     cand_stream = Stream(child_seed(seed, 1))
@@ -315,7 +307,8 @@ def quarter_net(d: int, seed: int) -> SphereNet:
         worst = max(worst, float(np.max(np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0)))))
     if worst > 0.25 + 0.02:
         raise EstimationError(f"net coverage audit failed: worst gap {worst:.4f}")
-    return SphereNet(net)
+    net.setflags(write=False)
+    return net
 
 
 def _chebyshev_fit(V: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
@@ -363,8 +356,7 @@ def multivariate_mk(sample: ExtendedArray, epsilon: float, q: float, Sigma, seed
         est = mk_estimate(sample, epsilon, q, math.sqrt(float(Sigma[0, 0])))
         return np.array([est.value])
 
-    net = quarter_net(d, seed)
-    V = net.directions
+    V = quarter_net(d, seed)
     X = sample.values[full]
     n = sample.n
     targets = np.empty(len(V))

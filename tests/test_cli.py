@@ -297,6 +297,22 @@ class TestProcessEntry:
         assert len(lines) == 1
         assert lines[0].startswith("config error:") and key in lines[0]
 
+    @pytest.mark.parametrize(
+        "model, estimators, d",
+        [
+            ({"kind": "mcar"}, ["complete_case_mean"], 17),
+            ({"kind": "mcar", "pattern": "all_or_nothing"}, ["min_kolmogorov_multi"], 9),
+        ],
+    )
+    def test_too_large_d_is_exit_one_without_traceback(self, tmp_path, model, estimators, d):
+        cfg = write_config(tmp_path, model=model, estimators=estimators, grid={"n": [12], "d": [d]})
+        proc = run_module("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: grid.d = {d} is too large")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "data"

@@ -58,7 +58,7 @@ def cfg_dict(**overrides) -> dict:
 class TestScenarioConfig:
     def test_grid_defaults(self):
         cfg = ScenarioConfig.from_dict(cfg_dict())
-        assert cfg.cells() == [(40, 1, 0.0, 1.0, 1.0)]
+        assert list(cfg.cells) == [(40, 1, 0.0, 1.0, 1.0)]
         assert cfg.estimators == ("observed_mean",)
         assert isinstance(cfg.delta, float)
 
@@ -69,7 +69,7 @@ class TestScenarioConfig:
                 grid={"n": [10, 20], "epsilon": [0.1, 0.2], "q": [0.5, 1.0]},
             )
         )
-        assert cfg.cells() == list(product([10, 20], [1], [0.1, 0.2], [0.5, 1.0], [1.0]))
+        assert list(cfg.cells) == list(product([10, 20], [1], [0.1, 0.2], [0.5, 1.0], [1.0]))
 
     def test_unknown_and_missing_keys(self):
         bad = cfg_dict()
@@ -137,7 +137,7 @@ class TestScenarioConfig:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg_dict()))
         cfg = ScenarioConfig.from_json(path)
-        assert cfg.cells() == ScenarioConfig.from_dict(cfg_dict()).cells()
+        assert cfg.cells == ScenarioConfig.from_dict(cfg_dict()).cells
         with pytest.raises(ConfigError, match="cannot read config"):
             ScenarioConfig.from_json(tmp_path / "nope.json")
         bad = tmp_path / "bad.json"
@@ -208,6 +208,39 @@ class TestCompatibility:
         patch["grid"]["n"] = [1723500]
         assert ScenarioConfig.from_dict(cfg_dict(**patch)).grid["n"] == [1723500]
 
+    @pytest.mark.parametrize(
+        "patch, match",
+        [
+            (
+                {"model": {"kind": "mcar"}, "estimators": ["complete_case_mean"], "grid": {"n": [10], "d": [17]}},
+                r"grid\.d = 17 is too large .*capped at d <= 16",
+            ),
+            (
+                {"model": {"kind": "arbitrary"}, "estimators": ["complete_case_mean"],
+                 "grid": {"n": [10], "d": [2, 17], "epsilon": [0.1]}},
+                r"grid\.d = 17 is too large .*capped at d <= 16",
+            ),
+            (
+                {"model": {"kind": "mcar", "pattern": "all_or_nothing"},
+                 "estimators": ["min_kolmogorov_multi"], "grid": {"n": [10], "d": [9]}},
+                r"grid\.d = 9 is too large for estimator 'min_kolmogorov_multi'.*capped at d = 8",
+            ),
+            (
+                {"model": {"kind": "realisable"}, "estimators": ["complete_case_mean", "min_kolmogorov_multi"],
+                 "grid": {"n": [10], "d": [2, 9], "epsilon": [0.1]}},
+                r"grid\.d = 9 is too large for estimator 'min_kolmogorov_multi'",
+            ),
+        ],
+    )
+    def test_too_large_d_is_refused_at_load(self, patch, match):
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig.from_dict(cfg_dict(**patch))
+
+    def test_multi_mk_net_cap_is_inclusive(self):
+        patch = {"model": {"kind": "realisable"}, "estimators": ["min_kolmogorov_multi"],
+                 "grid": {"n": [10], "d": [8], "epsilon": [0.1]}}
+        assert ScenarioConfig.from_dict(cfg_dict(**patch)).grid["d"] == [8]
+
     def test_multi_mk_allowed_with_all_or_nothing(self):
         cfg = ScenarioConfig.from_dict(
             cfg_dict(
@@ -226,7 +259,7 @@ class TestCompatibility:
                 grid={"n": [30], "d": [2], "epsilon": [0.1], "q": [0.8]},
             )
         )
-        assert cfg.cells() == [(30, 2, 0.1, 0.8, 1.0)]
+        assert list(cfg.cells) == [(30, 2, 0.1, 0.8, 1.0)]
 
 
 class TestRunScenario:
@@ -272,6 +305,37 @@ class TestRunScenario:
         assert serial == run_scenario(cfg, workers=2)
         assert serial == sorted(serial, key=ResultRecord.sort_key)
         assert len(serial) == 2 * 2 * 3
+
+    @pytest.mark.parametrize(
+        "mechanism2", [{"name": "constant", "c": 0.7}, {"name": "residual_above"}], ids=lambda m: m["name"]
+    )
+    def test_regression_is_worker_invariant(self, mechanism2):
+        cfg = ScenarioConfig.from_dict(
+            cfg_dict(
+                model={"kind": "regression", "theta0": [0.5, -1.0], "mechanism2": mechanism2},
+                estimators=["ols_observed"],
+                grid={"n": [30, 40], "d": [2], "epsilon": [0.3], "q": [0.8]},
+                reps=2,
+            )
+        )
+        serial = run_scenario(cfg)
+        assert serial == run_scenario(cfg, workers=2)
+        assert len(serial) == 4 and all(r.sq_error is not None for r in serial)
+
+    def test_each_cell_model_is_built_once(self, monkeypatch, tmp_path):
+        built = []
+
+        class Counted(harness._CellModel):
+            def __init__(self, model, *cell):
+                built.append(cell)
+                super().__init__(model, *cell)
+
+        monkeypatch.setattr(harness, "_CellModel", Counted)
+        cfg = ScenarioConfig.from_dict(cfg_dict(grid={"n": [20, 30], "q": [0.5, 1.0]}, reps=3))
+        run_scenario(cfg)
+        generate_datasets(cfg, tmp_path)
+        assert built == list(cfg.cells)
+        assert len(built) == 4
 
     def test_estimator_failure_records_none(self):
         cfg = ScenarioConfig.from_dict(

@@ -18,7 +18,6 @@ from missingrobust import (
     ModelError,
     PatternDistribution,
     SizeError,
-    SphereNet,
     Stream,
     as_block_means,
     child_seed,
@@ -62,12 +61,6 @@ class TestBlockMeansAndNet:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             as_block_means([1.0, np.inf])
-
-    def test_sphere_net_requires_unit_rows(self):
-        with pytest.raises(DomainError):
-            SphereNet(np.array([[1.0, 1.0]]))
-        net = SphereNet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert len(net) == 2
 
 
 class TestSolveSdp:
@@ -226,15 +219,14 @@ def net3():
 class TestQuarterNet:
     def test_one_dimensional_net_is_sign_pair(self):
         net = quarter_net(1, seed=0)
-        assert sorted(net.directions[:, 0]) == [-1.0, 1.0]
+        assert sorted(net[:, 0]) == [-1.0, 1.0]
 
     def test_deterministic_in_seed(self, net2):
-        assert np.array_equal(quarter_net(2, seed=1).directions, net2.directions)
-        assert not np.array_equal(quarter_net(2, seed=4).directions, net2.directions)
+        assert np.array_equal(quarter_net(2, seed=1), net2)
+        assert not np.array_equal(quarter_net(2, seed=4), net2)
 
     def test_separation_and_size(self, net2, net3):
-        for net in (net2, net3):
-            V = net.directions
+        for V in (net2, net3):
             d = V.shape[1]
             assert len(V) <= 9**d
             assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-12)
@@ -256,17 +248,17 @@ class TestQuarterNet:
         built = {(2, 1): net2, (3, 1): net3}
         for key, digest in self.PINNED.items():
             net = built[key] if key in built else quarter_net(*key)
-            assert hashlib.sha256(net.directions.tobytes()).hexdigest() == digest, key
+            assert hashlib.sha256(net.tobytes()).hexdigest() == digest, key
 
     def test_matches_one_by_one_loop(self):
         want = greedy_net_one_by_one(Stream(child_seed(7, 1)), 2)
-        assert quarter_net(2, seed=7).directions.tobytes() == want.tobytes()
+        assert quarter_net(2, seed=7).tobytes() == want.tobytes()
 
     def test_coverage(self, net3):
         dirs = Stream(5).normals(2000 * 3).reshape(2000, 3)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         dmin = np.min(
-            np.linalg.norm(dirs[:, None, :] - net3.directions[None, :, :], axis=2), axis=1
+            np.linalg.norm(dirs[:, None, :] - net3[None, :, :], axis=2), axis=1
         )
         assert dmin.max() <= 0.27
 

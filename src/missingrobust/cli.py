@@ -75,7 +75,7 @@ def _cmd_estimate(args) -> int:
     for flag in ("epsilon", "q", "sigma", "delta"):
         _check_range(flag, getattr(args, flag), f"--{flag}")
     sample, meta = read_dataset(args.data)
-    data, d = sample, sample.d
+    data = sample
     if args.estimator in _REGRESSION:
         # regression dumps carry the design first, the response last
         if sample.d < 2:
@@ -84,8 +84,8 @@ def _cmd_estimate(args) -> int:
             raise ConfigError(f"{args.data}: design columns must be fully observed")
         X = sample.values[:, :-1]
         Z = ExtendedArray(sample.values[:, -1:], sample.observed[:, -1:])
-        data, d = (X, Z), X.shape[1]
-    ctx = EstimatorContext(args.epsilon, args.q, args.sigma, args.delta, d, args.seed)
+        data = (X, Z)
+    ctx = EstimatorContext(args.epsilon, args.q, args.sigma, args.delta, args.seed)
     t0 = time.perf_counter()
     est = run_estimator(args.estimator, data, ctx)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)

@@ -100,7 +100,6 @@ class EstimatorContext:
     q: float
     sigma: float
     delta: float
-    d: int
     seed: int
 
 
@@ -184,7 +183,7 @@ def _est_iterative_robust_descent(sample, ctx):
 
 
 def _est_min_kolmogorov_multi(sample, ctx):
-    Sigma = ctx.sigma**2 * np.eye(ctx.d)
+    Sigma = ctx.sigma**2 * np.eye(sample.d)
     return multivariate_mk(sample, ctx.epsilon, ctx.q, Sigma, ctx.seed)
 
 
@@ -386,8 +385,12 @@ class ScenarioConfig:
                     f"estimator {name!r} is incompatible with model kind {kind!r}",
                 )
                 if name == "min_kolmogorov_multi" and any(d > 1 for d in ds):
+                    # arbitrary cells mask each coordinate, leaving rows partly observed at q < 1
+                    per_coordinate = (
+                        kind == "mcar" and self.model.get("pattern", "independent") != "all_or_nothing"
+                    ) or (kind == "arbitrary" and min(self.grid["q"]) < 1.0)
                     _require(
-                        kind != "mcar" or self.model.get("pattern", "independent") == "all_or_nothing",
+                        not per_coordinate,
                         "estimator 'min_kolmogorov_multi' needs all-or-nothing missingness for d > 1 "
                         f"but model kind {kind!r} uses per-coordinate patterns",
                     )
@@ -582,7 +585,7 @@ def _run_task(
     data = cell.sample(rep_seed)
     records = []
     for j, name in enumerate(estimators):
-        ctx = EstimatorContext(cell.epsilon, cell.q, cell.sigma, delta, cell.d, child_seed(rep_seed, 100 + j))
+        ctx = EstimatorContext(cell.epsilon, cell.q, cell.sigma, delta, child_seed(rep_seed, 100 + j))
         try:
             est = run_estimator(name, data, ctx)
             sq = float(np.sum((est - cell.theta0) ** 2))
@@ -667,7 +670,7 @@ def empirical_quantile(errors, delta: float) -> float:
 _GROUP_COLS = ("scenario", "estimator", "d", "epsilon", "q", "sigma")
 
 
-def rate_table(records, group_by=_GROUP_COLS, delta: float = 0.1) -> list[dict]:
+def rate_table(records, delta: float = 0.1) -> list[dict]:
     """Per-cell quantiles and log-log slope of quantile against n.
 
     One output row per (group, n) holding the empirical (1 - delta)
@@ -677,7 +680,7 @@ def rate_table(records, group_by=_GROUP_COLS, delta: float = 0.1) -> list[dict]:
     """
     groups: dict[tuple, dict[int, list[float]]] = {}
     for rec in records:
-        key = tuple(getattr(rec, col) for col in group_by)
+        key = tuple(getattr(rec, col) for col in _GROUP_COLS)
         cell = groups.setdefault(key, {})
         cell.setdefault(rec.n, [])
         if rec.sq_error is not None:
@@ -696,7 +699,7 @@ def rate_table(records, group_by=_GROUP_COLS, delta: float = 0.1) -> list[dict]:
         else:
             slope = None
         for n, qv in quants.items():
-            row = dict(zip(group_by, key))
+            row = dict(zip(_GROUP_COLS, key))
             row.update({"n": n, "quantile": qv, "slope": slope})
             rows.append(row)
     return rows
@@ -747,8 +750,8 @@ def read_records_csv(path) -> list[ResultRecord]:
     return records
 
 
-def write_table_csv(rows, path, group_by=_GROUP_COLS) -> None:
-    cols = tuple(group_by) + ("n", "quantile", "slope")
+def write_table_csv(rows, path) -> None:
+    cols = _GROUP_COLS + ("n", "quantile", "slope")
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:

@@ -32,25 +32,28 @@ __all__ = [
 ]
 
 
+# scale in the iterative descent's round count; at 1e-9 the count is T = 2
+_A1 = 1e-9
+# weight/direction alternations per worst-direction solve
+_SDP_ITERS = 20
+
+
 @dataclass(frozen=True)
 class DescentConfig:
-    """Constants of the iterative descent; defaults follow the analysis.
+    """Block-count constants of the descents; defaults follow the analysis.
 
     The defaults are extremely conservative: the block count M they produce
-    is at least 300 epsilon n, so at epsilon >= 1/600 the descent needs more
-    than n rows for any n, and at epsilon = 0, d = 2 and delta = 0.1 it
-    needs n >= 1,723,500.  Experiments override a2/a3.  The round count uses
-    the crude rank bound d.
+    is at least 300 epsilon n, so at epsilon >= 1/600 the iterative descent
+    needs more than n rows for any n, and at epsilon = 0, d = 2 and
+    delta = 0.1 it needs n >= 1,723,500.  Experiments override a2/a3.
     """
 
-    a1: float = 1e-9
     a2: float = 300.0
     a3: float = 180000.0
-    sdp_iters: int = 20
 
     def __post_init__(self):
-        if self.a1 <= 0 or self.a2 < 1 or self.a3 < 1:
-            raise DomainError("need a1 > 0 and a2, a3 >= 1")
+        if self.a2 < 1 or self.a3 < 1:
+            raise DomainError("need a2, a3 >= 1")
 
 
 def as_block_means(means) -> np.ndarray:
@@ -64,7 +67,7 @@ def as_block_means(means) -> np.ndarray:
     return B
 
 
-def solve_sdp_approx(block_means, theta, iters: int = 20):
+def solve_sdp_approx(block_means, theta):
     """Approximate worst-direction program over trimmed block weights.
 
     Alternates a weight step (mass 10/(9M) on the floor(9M/10) smallest
@@ -110,7 +113,7 @@ def solve_sdp_approx(block_means, theta, iters: int = 20):
 
     values = []
     best_v, best_val = e1, 0.0
-    for _ in range(max(1, iters)):
+    for _ in range(_SDP_ITERS):
         v, val = power_iter(w, v)
         if values and val <= values[-1] + 1e-12 * max(abs(values[-1]), 1.0):
             break
@@ -125,7 +128,7 @@ def solve_sdp_approx(block_means, theta, iters: int = 20):
     return best_v, best_val
 
 
-def robust_block_descent(block_means, sdp_iters: int = 20) -> np.ndarray:
+def robust_block_descent(block_means) -> np.ndarray:
     """Median-initialized descent along approximate worst directions."""
     B = as_block_means(block_means)
     M, d = B.shape
@@ -136,7 +139,7 @@ def robust_block_descent(block_means, sdp_iters: int = 20) -> np.ndarray:
     theta = np.array([order_median(B[:, j]) for j in range(d)])
     T = math.ceil(math.log(8.0 * math.sqrt(d)) / math.log(10.0 / 9.0))
     for _ in range(T):
-        v, _ = solve_sdp_approx(B, theta, sdp_iters)
+        v, _ = solve_sdp_approx(B, theta)
         s = -order_median((B - theta) @ v)
         theta = theta - s * v
     return theta
@@ -158,25 +161,23 @@ def robust_descent(data, epsilon: float, delta: float, seed: int) -> np.ndarray:
         raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    cfg = DescentConfig()
     loginv = math.log(2.0 / delta)
-    M = min(n, math.ceil(max(300.0 * (2.0 * epsilon * n + loginv), 180000.0 * loginv)))
+    M = min(n, math.ceil(max(cfg.a2 * (2.0 * epsilon * n + loginv), cfg.a3 * loginv)))
     perm = Stream(child_seed(seed, 1)).permutation(n)
     size = n // M
     means = X[perm[: M * size]].reshape(M, size, -1).mean(axis=1)
     return robust_block_descent(means)
 
 
-def _fold_indices(perm: np.ndarray, T: int, fold_size: int):
-    folds = [perm[t * fold_size : (t + 1) * fold_size] for t in range(T)]
-    used = np.concatenate(folds)
-    if len(np.unique(used)) != len(used):
-        raise EstimationError("fold partition reuses rows")
-    return folds
-
-
 def _descent_plan(n: int, d: int, epsilon: float, delta: float, cfg: DescentConfig) -> tuple[int, int]:
-    """Round count T and block count M of the iterative descent, which needs n >= T (M + 1)."""
-    inner = cfg.a1 * (d + math.log(24.0 * d / delta))
+    """Round count T and block count M of the iterative descent, which needs n >= T (M + 1).
+
+    T = 1 + ceil(max(log(_A1 (d + log(24 d / delta))), 1)); with _A1 = 1e-9
+    the log is negative, so T = 2 for every d up to 8 at any delta a scenario
+    accepts.
+    """
+    inner = _A1 * (d + math.log(24.0 * d / delta))
     T = 1 + math.ceil(max(math.log(inner), 1.0))
     eps_eff = 2.0 * epsilon + 2.0 * T * math.log(3.0 * T / delta) / max(n, 1)
     M = math.ceil(max(cfg.a2 * n * eps_eff / T, cfg.a3 * math.log(6.0 * T / delta)))
@@ -189,13 +190,15 @@ def iterative_robust_descent(
     """Round-based descent with any-observed imputation of block means.
 
     Round 1 runs a per-coordinate trimmed mean on that coordinate's observed
-    entries of the first fold.  Each later round partitions its fold into
-    M + 1 blocks (the unsized last block is discarded), imputes every block
-    mean coordinate with the previous round's estimate when the block has no
-    observation there, and descends on the imputed means.
+    entries of the first fold.  Each later round cuts its fold into M blocks
+    of floor(fold / M) consecutive rows (the remainder is discarded), imputes
+    every block mean coordinate with the previous round's estimate when the
+    block has no observation there, and descends on the imputed means.
+    ``config`` sets the block count (see ``DescentConfig``); the round count
+    is T = 2 (see ``_descent_plan``).
 
-    Draw accounting: the fold partition permutes [T * floor(n/T)] on
-    child_seed(seed, 1); blocks are consecutive chunks of the permuted fold.
+    Draw accounting: one permutation of [T * floor(n/T)] on child_seed(seed,
+    1), reshaped to T folds of floor(n/T) rows, so the folds are disjoint.
     The round-1 trimmed mean for coordinate j is seeded child_seed(seed, 2, j).
     """
     if not isinstance(sample, ExtendedArray):
@@ -212,8 +215,7 @@ def iterative_robust_descent(
         raise SizeError(f"need n >= {T * (M + 1)} for T={T}, M={M}; got {n}")
 
     fold_size = n // T
-    perm = Stream(child_seed(seed, 1)).permutation(T * fold_size)
-    folds = _fold_indices(perm, T, fold_size)
+    folds = Stream(child_seed(seed, 1)).permutation(T * fold_size).reshape(T, fold_size)
 
     theta = np.empty(d)
     fold1 = folds[0]
@@ -222,19 +224,12 @@ def iterative_robust_descent(
         entries = sample.values[fold1[col_obs], j]
         theta[j] = trimmed_mean(entries, epsilon, delta, child_seed(seed, 2, j)).value
 
-    for t in range(1, T):
-        rows = folds[t]
-        block = len(rows) // M
-        means = np.empty((M, d))
-        for b in range(M):
-            ridx = rows[b * block : (b + 1) * block]
-            obs = sample.observed[ridx]
-            vals = sample.values[ridx]
-            cnt = obs.sum(axis=0)
-            got = cnt > 0
-            means[b] = theta
-            means[b, got] = (vals * obs).sum(axis=0)[got] / cnt[got]
-        theta = robust_block_descent(means, cfg.sdp_iters)
+    block = fold_size // M
+    for rows in folds[1:, : M * block]:
+        obs = sample.observed[rows].reshape(M, block, d)
+        sums = (sample.values[rows].reshape(M, block, d) * obs).sum(axis=1)
+        cnt = obs.sum(axis=1)
+        theta = robust_block_descent(np.where(cnt > 0, sums / np.maximum(cnt, 1), theta))
     return theta
 
 

@@ -313,6 +313,21 @@ class TestProcessEntry:
         assert lines[0].startswith(f"config error: grid.d = {d} is too large")
         assert not (tmp_path / "r.csv").exists()
 
+    def test_multi_mk_on_partly_observed_arbitrary_rows_is_exit_one_without_traceback(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            model={"kind": "arbitrary"},
+            estimators=["min_kolmogorov_multi"],
+            grid={"n": [12], "d": [2], "epsilon": [0.1], "q": [0.8]},
+        )
+        proc = run_module("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error:")
+        assert "needs all-or-nothing missingness" in lines[0] and "model kind 'arbitrary'" in lines[0]
+        assert not (tmp_path / "r.csv").exists()
+
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "data"

@@ -194,6 +194,17 @@ class TestCompatibility:
                  "estimators": ["min_kolmogorov_multi"], "grid": {"n": [10], "d": [2]}},
                 "all-or-nothing missingness",
             ),
+            (
+                {"model": {"kind": "arbitrary"}, "estimators": ["min_kolmogorov_multi"],
+                 "grid": {"n": [10], "d": [2], "epsilon": [0.1], "q": [0.8]}},
+                "all-or-nothing missingness .*model kind 'arbitrary'",
+            ),
+            (
+                {"model": {"kind": "arbitrary", "contaminant": {"name": "point", "value": 3.0}},
+                 "estimators": ["min_kolmogorov_multi"],
+                 "grid": {"n": [10], "d": [1, 2], "epsilon": [0.0, 0.2], "q": [0.7, 1.0]}},
+                "all-or-nothing missingness .*model kind 'arbitrary'",
+            ),
         ],
     )
     def test_rejections(self, patch, match):
@@ -250,6 +261,13 @@ class TestCompatibility:
             )
         )
         assert cfg.grid["d"] == [2]
+
+    def test_multi_mk_allowed_on_arbitrary_rows_when_fully_observed(self):
+        # arbitrary cells mask each coordinate on their own, so d > 1 needs q = 1
+        for grid in ({"n": [10], "d": [2], "epsilon": [0.1], "q": [1.0]},
+                     {"n": [10], "d": [1], "epsilon": [0.1], "q": [0.8]}):
+            patch = {"model": {"kind": "arbitrary"}, "estimators": ["min_kolmogorov_multi"], "grid": grid}
+            assert ScenarioConfig.from_dict(cfg_dict(**patch)).grid == {**grid, "sigma": [1.0]}
 
     def test_regression_config_accepted(self):
         cfg = ScenarioConfig.from_dict(
@@ -382,13 +400,13 @@ class TestRunScenario:
 class TestRunEstimator:
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown estimator 'zzz'"):
-            run_estimator("zzz", None, EstimatorContext(0.0, 1.0, 1.0, 0.1, 1, 0))
+            run_estimator("zzz", None, EstimatorContext(0.0, 1.0, 1.0, 0.1, 0))
 
     def test_dispatch_matches_direct_calls(self):
         sample = sample_mcar(
             Gaussian.univariate(0.0, 1.0), PatternDistribution.independent(1, 0.9), 200, 17
         )
-        ctx = EstimatorContext(0.1, 0.9, 1.0, 0.1, 1, 99)
+        ctx = EstimatorContext(0.1, 0.9, 1.0, 0.1, 99)
         om = run_estimator("observed_mean", sample, ctx)
         assert om.shape == (1,)
         assert om[0] == observed_mean(sample).value
@@ -583,3 +601,48 @@ class TestGenerateDatasets:
         g = Stream(child_seed(rep_seed, 5)).normals(16).reshape(8, 2)
         design = np.column_stack([np.ones(8), g[:, 1:]])
         np.testing.assert_allclose(data.values[:, :2], design, atol=1e-12)
+
+
+# model variants x every estimator x d in {1, 2} x these (epsilon, q) points
+_SWEEP_MODELS = {
+    "mcar_independent": {"kind": "mcar"},
+    "mcar_all_or_nothing": {"kind": "mcar", "pattern": "all_or_nothing"},
+    "realisable_constant": {"kind": "realisable"},
+    "realisable_threshold": {"kind": "realisable", "mechanism": {"name": "threshold_above", "t": 0.0}},
+    "arbitrary_all_star": {"kind": "arbitrary"},
+    "arbitrary_point": {"kind": "arbitrary", "contaminant": {"name": "point", "value": 3.0}},
+    "f1_adversary": {"kind": "f1_adversary", "a": 1.0},
+    "two_point": {"kind": "two_point"},
+    "regression": {"kind": "regression", "mechanism2": {"name": "residual_above"}},
+}
+_SWEEP_POINTS = ((0.0, 0.7), (0.2, 0.7), (0.2, 1.0))
+
+
+@pytest.mark.parametrize("variant", sorted(_SWEEP_MODELS))
+def test_every_loaded_config_yields_a_finite_record(variant):
+    """A config either is refused at load or gives a finite error in 3 reps.
+
+    A config that loads and then writes only NA records is a structural
+    failure the load-time checks missed.  Rep 0 draws the same sample
+    whatever ``reps`` is, so a finite rep 0 settles a config without its
+    other two reps.
+    """
+    ran, all_na = 0, []
+    for name, d, (epsilon, q) in product(harness.ESTIMATORS, (1, 2), _SWEEP_POINTS):
+        model = dict(_SWEEP_MODELS[variant])
+        if model["kind"] == "regression":
+            model["theta0"] = [0.5, -1.0][:d]
+        grid = {"n": [200], "d": [d], "epsilon": [epsilon], "q": [q]}
+        try:
+            ScenarioConfig.from_dict(cfg_dict(model=model, estimators=[name], grid=grid))
+        except ConfigError:
+            continue
+        ran += 1
+        for reps in (1, 3):
+            cfg = ScenarioConfig.from_dict(cfg_dict(model=model, estimators=[name], grid=grid, reps=reps))
+            if any(rec.sq_error is not None for rec in run_scenario(cfg)):
+                break
+        else:
+            all_na.append((name, d, epsilon, q))
+    assert ran > 0
+    assert not all_na, f"loaded but wrote only NA: {all_na}"

@@ -19,14 +19,17 @@ from missingrobust import (
     PatternDistribution,
     SizeError,
     Stream,
+    all_star_contaminant,
     as_block_means,
     child_seed,
     iterative_robust_descent,
     mk_estimate,
     multivariate_mk,
+    point_contaminant,
     quarter_net,
     robust_block_descent,
     robust_descent,
+    sample_arbitrary,
     sample_mcar,
     solve_sdp_approx,
 )
@@ -37,12 +40,9 @@ from oracles import chebyshev_fit_by_vertices, greedy_net_one_by_one
 class TestDescentConfig:
     def test_defaults(self):
         cfg = DescentConfig()
-        assert cfg.a1 == 1e-9 and cfg.a2 == 300.0 and cfg.a3 == 180000.0
-        assert cfg.sdp_iters == 20
+        assert cfg.a2 == 300.0 and cfg.a3 == 180000.0
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            DescentConfig(a1=0.0)
         with pytest.raises(DomainError):
             DescentConfig(a2=0.5)
         with pytest.raises(DomainError):
@@ -196,14 +196,34 @@ class TestIterativeRobustDescent:
         with pytest.raises(DimensionError):
             iterative_robust_descent(np.zeros((10, 1)), 0.1, 0.5, seed=0)
 
-    def test_fold_partition_reusing_rows_is_an_estimation_error(self):
-        assert [list(f) for f in multivariate._fold_indices(np.arange(6), 3, 2)] == [
-            [0, 1],
-            [2, 3],
-            [4, 5],
-        ]
-        with pytest.raises(EstimationError, match="reuses rows"):
-            multivariate._fold_indices(np.array([0, 1, 2, 0]), 2, 2)
+    # float.hex of the estimate, taken from the per-block loop before the
+    # block means were built by reshape.  A case is (d, contaminant, n,
+    # sample seed, epsilon, delta, a2, a3, seed); sample_arbitrary at
+    # epsilon = 0 is the plain MCAR sample.  The block sizes are 200, 4, 1,
+    # 1 and 1 rows.
+    PINNED = [
+        ((2, "all_star", 2000, 31, 0.0, 0.5, 1.0, 1.0, 3), ["0x1.ee4cdb13f6b14p-1", "-0x1.060e776ea88fap+1"]),
+        (
+            (3, "all_star", 4000, 32, 0.1, 0.5, 1.0, 1.0, 4),
+            ["0x1.d7e4e3ff7f38fp-2", "-0x1.6c34eead824afp-7", "-0x1.f02ac45a4ac42p-1"],
+        ),
+        ((2, "point", 3000, 33, 0.1, 0.1, 4.0, 1.0, 5), ["0x1.1d97a97a97f5cp+0", "-0x1.0965112ffdec8p+1"]),
+        (
+            (3, "all_star", 3000, 34, 0.0, 0.5, 1.0, 300.0, 6),
+            ["0x1.0c4b6deede250p-1", "-0x1.e8b7edeb81e79p-7", "-0x1.dd6dd24dcc3d2p-1"],
+        ),
+        ((2, "all_star", 3000, 35, 0.1, 0.2, 4.0, 1.0, 7), ["0x1.0ecacc496f43dp+0", "-0x1.eb1868775598bp+0"]),
+    ]
+
+    @pytest.mark.parametrize("case, want", PINNED)
+    def test_pinned_estimates(self, case, want):
+        d, contaminant, n, sample_seed, epsilon, delta, a2, a3, seed = case
+        mean, reveal = {2: ([1.0, -2.0], [0.7, 0.9]), 3: ([0.5, 0.0, -1.0], [0.5, 0.8, 1.0])}[d]
+        cont = all_star_contaminant(d) if contaminant == "all_star" else point_contaminant(np.array([50.0, -50.0]))
+        pi = PatternDistribution.independent(d, reveal)
+        sample = sample_arbitrary(Gaussian(np.array(mean), np.eye(d)), epsilon, pi, cont, n, sample_seed)
+        out = iterative_robust_descent(sample, epsilon, delta, DescentConfig(a2=a2, a3=a3), seed=seed)
+        assert [float(v).hex() for v in out] == want
 
 
 @pytest.fixture(scope="module")

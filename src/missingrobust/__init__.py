@@ -16,12 +16,7 @@ from .errors import (
     ModelError,
     SizeError,
 )
-from .extended import (
-    STAR,
-    ExtendedArray,
-    PatternDistribution,
-    as_univariate,
-)
+from .extended import STAR, ExtendedArray, PatternDistribution
 from .harness import (
     ESTIMATORS,
     EstimatorContext,

@@ -1,13 +1,14 @@
 """Extended observation space: real coordinates plus a missing token.
 
-A scalar observation is either a finite float or the token ``STAR``.  Bulk
-data lives in :class:`ExtendedArray`, a dense value matrix paired with a
-boolean observation mask.  Missingness is a tag (the mask), never a sentinel
-value in the data channel: NaN is rejected everywhere, so equality and
-ordering are total on observed values.  Masked payload entries are
-canonicalised to 0.0 and never read.  :class:`PatternDistribution` draws the
-revelation masks of the MCAR and arbitrary samplers; the arbitrary sampler's
-contaminant is a one-row :class:`ExtendedArray`.
+Every sample is an :class:`ExtendedArray`, a dense ``n x d`` value matrix
+paired with a boolean observation mask.  The token ``STAR`` names the
+missing point where a law on the extended line is written out atom by atom.
+Missingness is a tag (the mask), never a sentinel value in the data
+channel: NaN is rejected everywhere, so equality and ordering are total on
+observed values.  Masked payload entries are canonicalised to 0.0 and never
+read.  :class:`PatternDistribution` draws the revelation masks of the MCAR
+and arbitrary samplers; the arbitrary sampler's contaminant is a one-row
+:class:`ExtendedArray`.
 """
 
 from __future__ import annotations
@@ -37,17 +38,6 @@ class _MissingToken:
 STAR = _MissingToken()
 
 
-def is_missing(x) -> bool:
-    return x is STAR
-
-
-def _check_finite_scalar(x) -> float:
-    v = float(x)
-    if not np.isfinite(v):
-        raise DomainError(f"observed values must be finite, got {x!r}")
-    return v
-
-
 class ExtendedArray:
     """``n x d`` sample over the extended space.
 
@@ -60,10 +50,6 @@ class ExtendedArray:
     def __init__(self, values, observed):
         values = np.array(values, dtype=float)
         observed = np.array(observed, dtype=bool)
-        if values.ndim == 1:
-            values = values[:, None]
-        if observed.ndim == 1:
-            observed = observed[:, None]
         if values.ndim != 2 or observed.shape != values.shape:
             raise DimensionError(
                 f"values {values.shape} and observed {observed.shape} must be "
@@ -97,9 +83,6 @@ class ExtendedArray:
             raise DimensionError(f"expected univariate data, got d={self.d}")
         return self.values[:, 0], self.observed[:, 0]
 
-    def __len__(self) -> int:
-        return self.n
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtendedArray):
             return NotImplemented
@@ -111,24 +94,6 @@ class ExtendedArray:
 
     def __repr__(self) -> str:
         return f"ExtendedArray(n={self.n}, d={self.d}, observed={int(self.observed.sum())})"
-
-
-def as_univariate(sample) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a univariate sample to (values, observed) vectors.
-
-    Accepts an ExtendedArray with d = 1 or any iterable of floats and STARs.
-    """
-    if isinstance(sample, ExtendedArray):
-        return sample.univariate()
-    vals, obs = [], []
-    for x in sample:
-        if is_missing(x):
-            vals.append(0.0)
-            obs.append(False)
-        else:
-            vals.append(_check_finite_scalar(x))
-            obs.append(True)
-    return np.asarray(vals, dtype=float), np.asarray(obs, dtype=bool)
 
 
 class PatternDistribution:

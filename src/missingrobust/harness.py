@@ -34,7 +34,7 @@ from .errors import (
     EstimationError,
     SizeError,
 )
-from .extended import ExtendedArray, PatternDistribution, as_univariate
+from .extended import ExtendedArray, PatternDistribution
 from .models import (
     AdversaryLaw,
     Constant,
@@ -135,7 +135,7 @@ _KEY_COLUMNS = attrgetter(*_COLUMNS[: _COLUMNS.index("rep") + 1])
 
 
 def _obs_values(sample: ExtendedArray) -> np.ndarray:
-    vals, obs = as_univariate(sample)
+    vals, obs = sample.univariate()
     return vals[obs]
 
 
@@ -194,7 +194,7 @@ def _est_ks_regression(data, ctx):
 
 def _est_ols_observed(data, ctx):
     X, Z = data
-    vals, obs = as_univariate(Z)
+    vals, obs = Z.univariate()
     if not obs.any():
         raise EstimationError("no observed responses")
     return np.linalg.lstsq(X[obs], vals[obs], rcond=None)[0]
@@ -275,6 +275,17 @@ def _model_value(section: dict, path: str, default, ok, want: str):
     value = section.get(key, default)
     _require(ok(value), f"{path} must be {want}, got {value!r}")
     return value
+
+
+def _only_keys(section: dict, path: str, tag: str, *keys: str) -> None:
+    """``ConfigError`` naming each key of section ``path`` that the branch
+    picked by ``section[tag]`` does not read (it reads ``tag`` and ``keys``)."""
+    unknown = [f"{path}.{k}" for k in section if k != tag and k not in keys]
+    _require(
+        not unknown,
+        f"{path} {tag} {section[tag]!r} takes no key {', '.join(unknown)} "
+        f"(it reads {', '.join((tag,) + keys)})",
+    )
 
 
 @dataclass(frozen=True)
@@ -418,22 +429,26 @@ def _probability(x) -> bool:
     return _is_number(x) and 0.0 <= x <= 1.0
 
 
+# mechanisms that read one threshold ``t``: class and default threshold
+_THRESHOLD_MECHANISMS = {
+    "threshold_above": (ThresholdAbove, 0.0),
+    "threshold_below": (ThresholdBelow, 0.0),
+    "tails_only": (TailsOnly, 1.0),
+}
+
+
 def _build_mechanism(mdict) -> object:
     _require(isinstance(mdict, dict) and "name" in mdict, "mechanism must be an object with a 'name'")
     name = mdict["name"]
     if name == "constant":
+        _only_keys(mdict, "model.mechanism", "name", "c")
         return Constant(float(_model_value(mdict, "model.mechanism.c", 1.0, _probability, "a number in [0, 1]")))
-
-    def threshold(default: float) -> float:
-        return float(_model_value(mdict, "model.mechanism.t", default, _is_finite, "a finite number"))
-
-    if name == "threshold_above":
-        return ThresholdAbove(threshold(0.0))
-    if name == "threshold_below":
-        return ThresholdBelow(threshold(0.0))
-    if name == "tails_only":
-        return TailsOnly(threshold(1.0))
+    if name in _THRESHOLD_MECHANISMS:
+        _only_keys(mdict, "model.mechanism", "name", "t")
+        cls, default = _THRESHOLD_MECHANISMS[name]
+        return cls(float(_model_value(mdict, "model.mechanism.t", default, _is_finite, "a finite number")))
     if name == "custom":
+        _only_keys(mdict, "model.mechanism", "name", "knots", "levels")
         knots = _model_value(
             mdict,
             "model.mechanism.knots",
@@ -456,8 +471,10 @@ def _build_contaminant(cdict, d: int) -> object:
     _require(isinstance(cdict, dict) and "name" in cdict, "contaminant must be an object with a 'name'")
     name = cdict["name"]
     if name == "all_star":
+        _only_keys(cdict, "model.contaminant", "name")
         return all_star_contaminant(d)
     if name == "point":
+        _only_keys(cdict, "model.contaminant", "name", "value")
         value = _model_value(
             cdict,
             "model.contaminant.value",
@@ -484,11 +501,13 @@ def _residual_above(theta0: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndar
 class _CellModel:
     """Sampler + target for one grid cell of one scenario.
 
-    Every model key is read through ``_model_value`` and each model kind's
-    rules on the grid cell are checked in its branch, so a bad config is a
-    ``ConfigError`` naming its key.  ``ScenarioConfig.from_dict`` builds each
-    cell once and keeps it; a built cell holds no random state and pickles,
-    so it serves every replication in any process.
+    Every model key is read through ``_model_value``, each branch (model
+    kind, mechanism, contaminant) refuses the keys it does not read, and
+    each model kind's rules on the grid cell are checked in its branch, so
+    a bad config is a ``ConfigError`` naming its key.
+    ``ScenarioConfig.from_dict`` builds each cell once and keeps it; a built
+    cell holds no random state and pickles, so it serves every replication
+    in any process.
     """
 
     def __init__(self, model: dict, n: int, d: int, epsilon: float, q: float, sigma: float):
@@ -500,14 +519,15 @@ class _CellModel:
         if kind in _VECTOR_KINDS:
             center = float(_model_value(model, "model.theta0", 0.0, _is_finite, "a finite number"))
             base = Gaussian(np.full(d, center), sigma**2 * np.eye(d))
-            pattern_name = _model_value(
-                model,
-                "model.pattern",
-                "independent",
-                lambda v: v in ("independent", "all_or_nothing"),
-                "'independent' or 'all_or_nothing'",
-            )
             if kind == "mcar":
+                _only_keys(model, "model", "kind", "theta0", "pattern")
+                pattern_name = _model_value(
+                    model,
+                    "model.pattern",
+                    "independent",
+                    lambda v: v in ("independent", "all_or_nothing"),
+                    "'independent' or 'all_or_nothing'",
+                )
                 _require(epsilon == 0.0, f"mcar model requires grid.epsilon == [0.0], got {epsilon}")
                 pi = (
                     PatternDistribution.all_or_nothing(d, q)
@@ -516,9 +536,11 @@ class _CellModel:
                 )
                 self.spec = ContaminationSpec("mcar", base, 0.0, pi)
             elif kind == "realisable":
+                _only_keys(model, "model", "kind", "theta0", "mechanism")
                 mech = _build_mechanism(model.get("mechanism", {"name": "constant", "c": 1.0}))
                 self.spec = ContaminationSpec("realisable", base, epsilon, q, mechanism=mech)
             else:
+                _only_keys(model, "model", "kind", "theta0", "contaminant")
                 cont = _build_contaminant(model.get("contaminant", {"name": "all_star"}), d)
                 pi = _independent_pattern(d, q)
                 self.spec = ContaminationSpec("arbitrary", base, epsilon, pi, contaminant=cont)
@@ -528,6 +550,7 @@ class _CellModel:
             _require(d == 1, f"model kind {kind!r} is univariate but grid.d = {d}")
             _require(epsilon > 0.0, f"model kind {kind!r} needs epsilon > 0, got {epsilon}")
             if kind == "f1_adversary":
+                _only_keys(model, "model", "kind", "law", "a")
                 law_name = _model_value(model, "model.law", "f1", lambda v: v in ("f1", "f2"), "'f1' or 'f2'")
                 a = _model_value(model, "model.a", None, lambda v: _is_finite(v) and v > 0, "a positive number")
                 law = AdversaryLaw(law_name, float(a), sigma, epsilon, q)
@@ -535,6 +558,7 @@ class _CellModel:
                 self.theta0 = np.atleast_1d(np.asarray(law.base.mean(), dtype=float))
                 self.label = f"f1_adversary:{law.name}"
             else:
+                _only_keys(model, "model", "kind", "r", "which")
                 r = _model_value(model, "model.r", 2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2")
                 pair = adversary_two_point(float(r), sigma, epsilon, q)
                 which = _model_value(model, "model.which", 1, lambda v: _is_int(v) and v in (1, 2), "1 or 2")
@@ -542,6 +566,7 @@ class _CellModel:
                 self.theta0 = np.array([theta])
                 self.label = f"two_point:{which}"
         else:
+            _only_keys(model, "model", "kind", "theta0", "design", "mechanism2")
             theta0 = _model_value(model, "model.theta0", None, _is_finite_list, "a list of finite numbers")
             _require(len(theta0) == d, f"regression grid.d = {d} must equal len(theta0) = {len(theta0)}")
             self.theta0 = np.asarray(theta0, dtype=float)
@@ -555,9 +580,11 @@ class _CellModel:
             m2 = model.get("mechanism2", {"name": "constant", "c": 1.0})
             _require(isinstance(m2, dict) and "name" in m2, "mechanism2 must be an object with a 'name'")
             if m2["name"] == "constant":
+                _only_keys(m2, "model.mechanism2", "name", "c")
                 c = _model_value(m2, "model.mechanism2.c", 1.0, _probability, "a number in [0, 1]")
                 self.mechanism2 = float(c)
             elif m2["name"] == "residual_above":
+                _only_keys(m2, "model.mechanism2", "name")
                 self.mechanism2 = partial(_residual_above, self.theta0)
             else:
                 raise ConfigError(f"unknown mechanism2 {m2['name']!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .extended import as_univariate
+from .extended import ExtendedArray
 
 __all__ = [
     "EmpiricalSummary",
@@ -57,8 +57,8 @@ class EmpiricalSummary:
         object.__setattr__(self, "sorted_observed", z)
 
     @staticmethod
-    def from_sample(sample) -> "EmpiricalSummary":
-        vals, obs = as_univariate(sample)
+    def from_sample(sample: ExtendedArray) -> "EmpiricalSummary":
+        vals, obs = sample.univariate()
         return EmpiricalSummary(np.sort(vals[obs]), len(vals))
 
     @property
@@ -165,14 +165,12 @@ def _plain_distance(L: np.ndarray, U: np.ndarray, n: int, nodes=None):
     return np.maximum(t, 0.0)
 
 
-def dist_to_realisable(summary, spec: RealisableSetSpec) -> float:
+def dist_to_realisable(summary: EmpiricalSummary, spec: RealisableSetSpec) -> float:
     """Kolmogorov distance from an empirical law to the realisable set.
 
     Exact, in O(m) after one pass of base CDF evaluations: the minimal band
     width is a maximum of prefix-max expressions over the chain nodes.
     """
-    if not isinstance(summary, EmpiricalSummary):
-        summary = EmpiricalSummary.from_sample(summary)
     bounds = ChainBounds.from_data(summary, spec)
     return float(_plain_distance(bounds.prefix_lower, bounds.prefix_upper, summary.n_total))
 
@@ -194,7 +192,7 @@ def dist_to_realisable_batch(
 _SLOPES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])  # of the five lines of t*(c)
 
 
-def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
+def dist_to_realisable_sym(summary: EmpiricalSummary, spec: RealisableSetSpec) -> float:
     """Symmetrized set distance, solved exactly as the upper envelope of five lines.
 
     Adds the upper-half-line comparisons to the band constraints.  At total
@@ -216,8 +214,6 @@ def dist_to_realisable_sym(summary, spec: RealisableSetSpec) -> float:
     Rounding is monotone, so each line's value at a candidate is the
     largest of its class's pieces bit for bit.
     """
-    if not isinstance(summary, EmpiricalSummary):
-        summary = EmpiricalSummary.from_sample(summary)
     m, n = summary.m, summary.n_total
     bounds = ChainBounds.from_data(summary, spec)
     SL, SU = bounds.prefix_lower, bounds.prefix_upper  # nodes 1..m+1

@@ -492,17 +492,12 @@ class TwoPointPair:
     on {-b, b, STAR}; no estimator can tell them apart.
     """
 
-    r: float
-    sigma: float
-    epsilon: float
-    q: float
     a: float
     b: float
     spec1: ContaminationSpec
     spec2: ContaminationSpec
     theta1: float
     theta2: float
-    gap: float
     r0: dict
 
 
@@ -522,20 +517,7 @@ def adversary_two_point(r: float, sigma: float, epsilon: float, q: float) -> Two
     spec2 = ContaminationSpec("realisable", p2, epsilon, q, mechanism=ThresholdBelow(0.0))
     atom = lo_mass / (a + 1.0)
     r0 = {-b: atom, b: atom, STAR: 1.0 - 2.0 * atom}
-    return TwoPointPair(
-        r=r,
-        sigma=sigma,
-        epsilon=epsilon,
-        q=q,
-        a=a,
-        b=b,
-        spec1=spec1,
-        spec2=spec2,
-        theta1=p1.mean(),
-        theta2=p2.mean(),
-        gap=p2.mean() - p1.mean(),
-        r0=r0,
-    )
+    return TwoPointPair(a=a, b=b, spec1=spec1, spec2=spec2, theta1=p1.mean(), theta2=p2.mean(), r0=r0)
 
 
 # ---------------------------------------------------------------------------

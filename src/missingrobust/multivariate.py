@@ -236,6 +236,8 @@ def iterative_robust_descent(
 # largest d quarter_net builds a net for; scenario configs refuse a larger d
 # for min_kolmogorov_multi at load
 _NET_MAX_D = 8
+# consecutive rejections that end the net's candidate loop
+_NET_REJECTIONS = 200_000
 
 
 def quarter_net(d: int, seed: int) -> np.ndarray:
@@ -245,11 +247,11 @@ def quarter_net(d: int, seed: int) -> np.ndarray:
 
     Candidates, drawn in batches of 256, are accepted in stream order while
     farther than 1/4 from every kept point; the loop ends after a run of
-    consecutive rejections, capped at 200000 since the nominal 1e4 * 9^d
-    budget is unreachable for d over a few.  Each batch is screened against
-    the net kept before it in one broadcast norm; only the candidates that
-    pass are walked in order against the points the same batch accepted, so
-    the net is the one the one-candidate-at-a-time loop keeps, bit for bit.
+    200000 consecutive rejections (the nominal 1e4 * 9^d budget already
+    exceeds that at d = 2).  Each batch is screened against the net kept
+    before it in one broadcast norm; only the candidates that pass are
+    walked in order against the points the same batch accepted, so the net
+    is the one the one-candidate-at-a-time loop keeps, bit for bit.
     A 1e5 sample audit then checks the net covers the sphere to 1/4 + 0.02.
     """
     if d < 1:
@@ -261,11 +263,10 @@ def quarter_net(d: int, seed: int) -> np.ndarray:
         net.setflags(write=False)
         return net
 
-    limit = min(10**4 * 9**d, 200_000)
     cand_stream = Stream(child_seed(seed, 1))
     net = np.empty((0, d))
     rejections = 0
-    while rejections < limit:
+    while rejections < _NET_REJECTIONS:
         batch = cand_stream.normals(256 * d).reshape(256, d)
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
         # same arithmetic as a per-candidate norm against the kept rows
@@ -277,7 +278,7 @@ def quarter_net(d: int, seed: int) -> np.ndarray:
             # the candidates screened out since the last survivor are rejections
             rejections += i - prev - 1
             prev = i
-            if rejections >= limit:
+            if rejections >= _NET_REJECTIONS:
                 break
             x = batch[i]
             if not added or float(np.min(np.linalg.norm(np.asarray(added) - x, axis=1))) > 0.25:
@@ -285,7 +286,7 @@ def quarter_net(d: int, seed: int) -> np.ndarray:
                 rejections = 0
             else:
                 rejections += 1
-                if rejections >= limit:
+                if rejections >= _NET_REJECTIONS:
                     break
         else:
             rejections += len(batch) - 1 - prev

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DimensionError, DomainError, EstimationError
-from .extended import as_univariate
+from .extended import ExtendedArray
 from .kolmogorov import EmpiricalSummary, RealisableSetSpec, dist_to_realisable_sym
 from .models import Gaussian
 from .rng import Stream, child_seed
@@ -30,9 +30,6 @@ class RegressionFit:
     theta: np.ndarray
     objective: float
     diagnostics: dict
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.theta, dtype=dtype)
 
 
 def _as_design(X) -> np.ndarray:
@@ -63,7 +60,7 @@ def residual_set(sigma: float, epsilon: float, q: float) -> RealisableSetSpec:
 
 
 def ks_regression_estimate(
-    X, Z, sigma: float, epsilon: float, q: float, seed: int = 0
+    X, Z: ExtendedArray, sigma: float, epsilon: float, q: float, seed: int = 0
 ) -> RegressionFit:
     """Minimum symmetrised-distance fit of the regression parameter.
 
@@ -78,7 +75,7 @@ def ks_regression_estimate(
     """
     X = _as_design(X)
     n, d = X.shape
-    vals, obs = as_univariate(Z)
+    vals, obs = Z.univariate()
     if len(vals) != n:
         raise DimensionError(f"need {n} responses, got {len(vals)}")
     m = int(obs.sum())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EstimationError, SizeError
-from .extended import as_univariate
+from .extended import ExtendedArray
 from .kolmogorov import (
     EmpiricalSummary,
     RealisableSetSpec,
@@ -49,9 +49,6 @@ class UniEstimate:
         if not np.isfinite(self.value):
             raise EstimationError(f"estimate is not finite: {self.value}")
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def order_median(values) -> float:
     """Deterministic median: the order statistic at 0-indexed rank n // 2."""
@@ -68,9 +65,9 @@ def _real_data(data) -> np.ndarray:
     return x
 
 
-def average_of_extremes(sample) -> UniEstimate:
+def average_of_extremes(sample: ExtendedArray) -> UniEstimate:
     """Midrange of the observed values; 0 by convention when none observed."""
-    vals, obs = as_univariate(sample)
+    vals, obs = sample.univariate()
     if not obs.any():
         return UniEstimate(0.0, {"m_observed": 0})
     z = vals[obs]
@@ -128,8 +125,8 @@ def trimmed_mean(data, epsilon: float, delta: float, seed: int) -> UniEstimate:
     return UniEstimate(value, {"alpha": alpha, "beta": beta, "eta": eta})
 
 
-def observed_mean(sample) -> UniEstimate:
-    vals, obs = as_univariate(sample)
+def observed_mean(sample: ExtendedArray) -> UniEstimate:
+    vals, obs = sample.univariate()
     if not obs.any():
         raise EstimationError("empty observed set")
     return UniEstimate(float(np.mean(vals[obs])), {"m_observed": int(obs.sum())})

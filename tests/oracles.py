@@ -2,19 +2,18 @@
 
 Everything here is deliberately written against scipy primitives rather than
 package code, so each check compares two unrelated routes to the same number.
-Two exceptions reuse one package function each: ``EmpiricalDist`` reads
-samples through ``as_univariate``, and ``mk_full_scan_bracket`` is the
+One exception reuses a package function: ``mk_full_scan_bracket`` is the
 unscreened coarse scan that ``mk_estimate``'s screened scan must reproduce
 bit for bit, so it runs the package's exact batch kernel on every grid row.
 
 Two paper quantities serve only as references for the tests:
 ``separation_profile``, the distance lower bound between the contamination
 sets of two means, and ``realisable_sandwich_check``, the empirical test of
-the realisable model's density sandwich.  The Gaussian density and quantile
-(``gaussian_pdf``, ``gaussian_ppf``), the adversary law's density, STAR mass
-and observed mean, and the row-literal builder ``extended_from_rows`` are
-test references and fixtures too; they use only the public attributes of
-the package's objects.  ``adversary_sample_by_bisection`` is the bisection that
+the realisable model's density sandwich.  The empirical law
+``EmpiricalDist``, the Gaussian density and quantile (``gaussian_pdf``,
+``gaussian_ppf``), the adversary law's density, STAR mass and observed mean,
+and the row-literal builder ``extended_from_rows`` are test references and
+fixtures too; they use only the public attributes of the package's objects.  ``adversary_sample_by_bisection`` is the bisection that
 ``AdversaryLaw.sample``'s closed-form inversion replaced: it bisects
 ``law.cdf`` on the same role-1 uniforms, so the two routes share only the
 stream and the CDF.  ``sym_distance_by_all_crossings`` is the fourteen-piece
@@ -41,7 +40,6 @@ from missingrobust import (
     ExtendedArray,
     SizeError,
     Stream,
-    as_univariate,
     child_seed,
     dist_to_realisable_batch,
 )
@@ -369,7 +367,7 @@ class DiscreteDist:
 
 def EmpiricalDist(sample) -> DiscreteDist:
     """The empirical law of a univariate extended-line sample."""
-    vals, obs = as_univariate(sample)
+    vals, obs = sample.univariate()
     n = len(vals)
     if n == 0:
         raise ValueError("empty sample")
@@ -548,7 +546,7 @@ def realisable_sandwich_check(
     q(1-eps) F(t) <= H(t) <= {q(1-eps)+eps} F(t) up to sampling noise; the
     slack is 3 sqrt(log(n)/n).  Returns (ok, worst violation).
     """
-    vals, obs = as_univariate(sample)
+    vals, obs = sample.univariate()
     n = len(vals)
     if n == 0:
         raise SizeError("empty sample")

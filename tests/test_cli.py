@@ -116,6 +116,13 @@ class TestEstimate:
         assert code == 1
         assert ">= 2 columns" in capsys.readouterr().err
 
+    def test_partly_observed_design_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "regression.tsv"
+        path.write_text("# d=2 model=regression:gaussian seed=3\n0.5\t1.0\nNA\t2.0\n-0.5\tNA\n")
+        code = main(["estimate", "--estimator", "ks_regression", "--data", str(path)])
+        assert code == 1
+        assert "design columns must be fully observed" in capsys.readouterr().err
+
     def test_numeric_failure_is_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid={"n": [2]}, reps=1)
         out = tmp_path / "data"
@@ -286,6 +293,7 @@ class TestProcessEntry:
                 {"n": [12], "d": [2], "epsilon": [0.1], "q": [0.8]},
                 "model.mechanism2.c",
             ),
+            ({"kind": "mcar", "patern": "all_or_nothing"}, {"n": [12]}, "model.patern"),
         ],
     )
     def test_bad_model_key_is_exit_one_without_traceback(self, tmp_path, model, grid, key):

@@ -12,7 +12,6 @@ from missingrobust import (
     PatternDistribution,
     SizeError,
     Stream,
-    as_univariate,
     child_seed,
     splitmix64,
 )
@@ -101,11 +100,11 @@ class TestExtendedArray:
         with pytest.raises(DomainError):
             ExtendedArray(np.array([[np.inf]]), np.array([[True]]))
 
-    def test_as_univariate_requires_one_column(self):
-        vals, obs = as_univariate(extended_from_rows([(1.0,), (STAR,)]))
+    def test_univariate_requires_one_column(self):
+        vals, obs = extended_from_rows([(1.0,), (STAR,)]).univariate()
         assert vals.shape == (2,) and list(obs) == [True, False]
         with pytest.raises(Exception):
-            as_univariate(extended_from_rows([(1.0, 2.0)]))
+            extended_from_rows([(1.0, 2.0)]).univariate()
 
 
 class TestPatternDistribution:

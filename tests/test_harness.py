@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -88,6 +89,57 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(cfg_dict(model={"theta0": 0.0}))
         with pytest.raises(ConfigError, match="unknown model kind"):
             ScenarioConfig.from_dict(cfg_dict(model={"kind": "mystery"}))
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"kind": "mcar", "patern": "all_or_nothing"}, "model.patern"),
+            ({"kind": "arbitrary", "pattern": "all_or_nothing"}, "model.pattern"),
+            ({"kind": "realisable", "mechanism": {"name": "constant", "p": 0.5}}, "model.mechanism.p"),
+            ({"kind": "realisable", "mechanism": {"name": "tails_only", "c": 0.5}}, "model.mechanism.c"),
+            ({"kind": "arbitrary", "contaminant": {"name": "all_star", "value": 3.0}}, "model.contaminant.value"),
+            ({"kind": "two_point", "a": 1.0}, "model.a"),
+            (
+                {"kind": "regression", "theta0": [0.5], "mechanism2": {"name": "residual_above", "c": 0.5}},
+                "model.mechanism2.c",
+            ),
+        ],
+    )
+    def test_key_its_branch_does_not_read_is_refused(self, model, key):
+        grid = {"n": [10], "epsilon": [0.0 if model["kind"] == "mcar" else 0.1]}
+        estimators = ["ols_observed"] if model["kind"] == "regression" else ["observed_mean"]
+        with pytest.raises(ConfigError, match=rf"takes no key {re.escape(key)} "):
+            ScenarioConfig.from_dict(cfg_dict(model=model, estimators=estimators, grid=grid))
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            {"name": "threshold_below", "t": 0.5},
+            {"name": "tails_only"},
+            {"name": "custom", "knots": [-1.0, 1.0], "levels": [0.2, 1.0, 0.5]},
+        ],
+    )
+    def test_mechanism_builds_its_cell(self, mechanism):
+        model = {"kind": "realisable", "mechanism": mechanism}
+        cfg = ScenarioConfig.from_dict(cfg_dict(model=model, grid={"n": [10], "epsilon": [0.1]}))
+        assert cfg.cell_models[0].label == f"realisable:gaussian:{mechanism['name']}"
+
+    @pytest.mark.parametrize(
+        "model, match",
+        [
+            ({"kind": "realisable", "mechanism": {"name": "logistic"}}, "unknown mechanism 'logistic'"),
+            ({"kind": "arbitrary", "contaminant": {"name": "cloud"}}, "unknown contaminant 'cloud'"),
+            (
+                {"kind": "regression", "theta0": [0.5], "mechanism2": {"name": "residual_below"}},
+                "unknown mechanism2 'residual_below'",
+            ),
+        ],
+    )
+    def test_unknown_section_name_is_refused(self, model, match):
+        estimators = ["ols_observed"] if model["kind"] == "regression" else ["observed_mean"]
+        patch = {"model": model, "estimators": estimators, "grid": {"n": [10], "epsilon": [0.1]}}
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig.from_dict(cfg_dict(**patch))
 
     @pytest.mark.parametrize(
         "grid, match",

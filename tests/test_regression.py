@@ -60,7 +60,7 @@ class TestKsRegression:
     def test_result_shape_and_diagnostics(self):
         _, _, fit = self.fit_once(n=500)
         assert isinstance(fit, RegressionFit)
-        assert np.asarray(fit).shape == (2,)
+        assert fit.theta.shape == (2,)
         diag = fit.diagnostics
         assert diag["restarts"] == 5
         assert 0 <= diag["winning_restart"] < 5

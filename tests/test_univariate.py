@@ -289,6 +289,16 @@ class TestMkEstimate:
         with pytest.raises(DomainError):
             mk_estimate(uni([1.0]), 0.1, 1.0, 0.0)
 
+    def test_tie_plateau_reaching_the_left_scan_edge_returns_the_edge(self):
+        # one observed value in ten rows at q(1 - eps) = 0.01: the distance is
+        # flat from the scan's left end, so the estimate is z[0] - 6 sigma
+        summary = EmpiricalSummary(np.array([0.0]), 10)
+        est = mk_estimate(summary, 0.9, 0.1, 1.0)
+        assert est.value == -6.0
+        assert est.meta["kolmogorov_value"] == 0.05
+        spec = RealisableSetSpec(Gaussian.univariate(est.value, 1.0), 0.9, 0.1)
+        assert abs(dist_to_realisable(summary, spec) - est.meta["kolmogorov_value"]) <= 1e-9
+
     def test_screened_scan_matches_full_scan_bracket(self):
         cases = list(screen_cases())
         assert len(cases) >= 30

@@ -14,9 +14,7 @@ import sys
 import time
 
 from .errors import _NUMERIC_ERRORS, ConfigError
-from .extended import ExtendedArray
 from .harness import (
-    _REGRESSION,
     ESTIMATORS,
     EstimatorContext,
     ScenarioConfig,
@@ -75,19 +73,12 @@ def _cmd_estimate(args) -> int:
     for flag in ("epsilon", "q", "sigma", "delta"):
         _check_range(flag, getattr(args, flag), f"--{flag}")
     sample, meta = read_dataset(args.data)
-    data = sample
-    if args.estimator in _REGRESSION:
-        # regression dumps carry the design first, the response last
-        if sample.d < 2:
-            raise ConfigError(f"{args.data}: regression data needs >= 2 columns, got {sample.d}")
-        if not sample.observed[:, :-1].all():
-            raise ConfigError(f"{args.data}: design columns must be fully observed")
-        X = sample.values[:, :-1]
-        Z = ExtendedArray(sample.values[:, -1:], sample.observed[:, -1:])
-        data = (X, Z)
     ctx = EstimatorContext(args.epsilon, args.q, args.sigma, args.delta, args.seed)
     t0 = time.perf_counter()
-    est = run_estimator(args.estimator, data, ctx)
+    try:
+        est = run_estimator(args.estimator, sample, ctx)
+    except ConfigError as e:  # a dump whose layout the estimator cannot read
+        raise ConfigError(f"{args.data}: {e}") from None
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
     out = {
         "estimate": [float(v) for v in est],
@@ -104,6 +95,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers: expected an int >= 1, got {args.workers}")
     cfg = ScenarioConfig.from_json(args.config)
     records = run_scenario(cfg, workers=args.workers)
     write_records_csv(records, args.out)

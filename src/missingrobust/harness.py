@@ -4,12 +4,14 @@ A scenario config names one data model, a list of estimators, and a grid of
 (n, d, epsilon, q, sigma) cells.  Loading a config builds each cell's model
 once, checking the rules of its model kind there, and keeps it: a built
 model holds no random state, so it serves every replication, serial or in a
-pool worker.  Every cell x replication gets the child seed
-``child_seed(master, cell_index, rep)``; the sample it generates is shared
-by all estimators of that replication, and estimator j's own randomness
-(partitions, nets, restarts) is seeded ``child_seed(rep_seed, 100 + j)``.
-Failures of an estimator on a particular sample are recorded as NA rows
-instead of aborting the run.
+pool worker.  Every model kind samples one ``ExtendedArray``; a regression
+sample holds the fully observed design columns and then the response, the
+layout its dumps keep and its estimators split.  Every cell x replication
+gets the child seed ``child_seed(master, cell_index, rep)``; the sample it
+generates is shared by all estimators of that replication, and estimator
+j's own randomness (partitions, nets, restarts) is seeded
+``child_seed(rep_seed, 100 + j)``.  Failures of an estimator on a
+particular sample are recorded as NA rows instead of aborting the run.
 
 ``runtime_ms`` is emitted as NA: wall-clock readings differ between serial
 and worker-pool runs, which would break byte-identical output.
@@ -187,13 +189,20 @@ def _est_min_kolmogorov_multi(sample, ctx):
     return multivariate_mk(sample, ctx.epsilon, ctx.q, Sigma, ctx.seed)
 
 
-def _est_ks_regression(data, ctx):
-    X, Z = data
+def _design_and_response(sample: ExtendedArray) -> tuple[np.ndarray, ExtendedArray]:
+    """Split a regression sample into its design columns and its response, the last column."""
+    _require(sample.d >= 2, f"regression data needs >= 2 columns, got {sample.d}")
+    _require(sample.observed[:, :-1].all(), "design columns must be fully observed")
+    return sample.values[:, :-1], ExtendedArray(sample.values[:, -1:], sample.observed[:, -1:])
+
+
+def _est_ks_regression(sample, ctx):
+    X, Z = _design_and_response(sample)
     return ks_regression_estimate(X, Z, ctx.sigma, ctx.epsilon, ctx.q, ctx.seed).theta
 
 
-def _est_ols_observed(data, ctx):
-    X, Z = data
+def _est_ols_observed(sample, ctx):
+    X, Z = _design_and_response(sample)
     vals, obs = Z.univariate()
     if not obs.any():
         raise EstimationError("no observed responses")
@@ -215,11 +224,15 @@ _REGISTRY = {
 }
 
 
-def run_estimator(name: str, data, ctx: EstimatorContext) -> np.ndarray:
-    """Run one registered estimator; raises ConfigError for unknown names."""
+def run_estimator(name: str, sample: ExtendedArray, ctx: EstimatorContext) -> np.ndarray:
+    """Run one registered estimator; raises ConfigError for unknown names.
+
+    A regression estimator reads the sample's last column as the response
+    and the others as the design, which must be fully observed.
+    """
     if name not in _REGISTRY:
         raise ConfigError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATORS)}")
-    return np.atleast_1d(np.asarray(_REGISTRY[name](data, ctx), dtype=float))
+    return np.atleast_1d(np.asarray(_REGISTRY[name](sample, ctx), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +357,15 @@ class ScenarioConfig:
         for key in ("epsilon", "q", "sigma"):
             for v in grid[key]:
                 _check_range(key, v, f"grid.{key} entries")
+        for key, vals in grid.items():
+            _require(len(set(vals)) == len(vals), f"grid.{key} must not repeat a value, got {vals}")
 
         estimators = raw["estimators"]
         _require(
             isinstance(estimators, list) and estimators and all(isinstance(e, str) for e in estimators),
             "estimators must be a nonempty list of names",
         )
+        _require(len(set(estimators)) == len(estimators), f"estimators must not repeat a name, got {estimators}")
         reps = raw["reps"]
         _require(_is_int(reps) and reps >= 1, f"reps must be an int >= 1, got {reps!r}")
         delta = raw["delta"]
@@ -460,8 +476,8 @@ def _build_mechanism(mdict) -> object:
             mdict,
             "model.mechanism.levels",
             None,
-            lambda v: _is_finite_list(v) and len(v) == len(knots) + 1,
-            f"a list of {len(knots) + 1} finite numbers (one more than knots)",
+            lambda v: isinstance(v, list) and len(v) == len(knots) + 1 and all(map(_probability, v)),
+            f"a list of {len(knots) + 1} numbers in [0, 1] (one more than knots)",
         )
         return Custom(np.asarray(knots, dtype=float), np.asarray(levels, dtype=float))
     raise ConfigError(f"unknown mechanism {name!r}")
@@ -501,6 +517,10 @@ def _residual_above(theta0: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndar
 class _CellModel:
     """Sampler + target for one grid cell of one scenario.
 
+    A non-regression cell draws from ``source``, the ``ContaminationSpec``
+    or ``AdversaryLaw`` it built; ``sample`` looks its samplers up at each
+    call, so a wrapper set on their class after load sees every draw.
+
     Every model key is read through ``_model_value``, each branch (model
     kind, mechanism, contaminant) refuses the keys it does not read, and
     each model kind's rules on the grid cell are checked in its branch, so
@@ -534,18 +554,18 @@ class _CellModel:
                     if pattern_name == "all_or_nothing"
                     else _independent_pattern(d, q)
                 )
-                self.spec = ContaminationSpec("mcar", base, 0.0, pi)
+                self.source = ContaminationSpec("mcar", base, 0.0, pi)
             elif kind == "realisable":
                 _only_keys(model, "model", "kind", "theta0", "mechanism")
                 mech = _build_mechanism(model.get("mechanism", {"name": "constant", "c": 1.0}))
-                self.spec = ContaminationSpec("realisable", base, epsilon, q, mechanism=mech)
+                self.source = ContaminationSpec("realisable", base, epsilon, q, mechanism=mech)
             else:
                 _only_keys(model, "model", "kind", "theta0", "contaminant")
                 cont = _build_contaminant(model.get("contaminant", {"name": "all_star"}), d)
                 pi = _independent_pattern(d, q)
-                self.spec = ContaminationSpec("arbitrary", base, epsilon, pi, contaminant=cont)
+                self.source = ContaminationSpec("arbitrary", base, epsilon, pi, contaminant=cont)
             self.theta0 = np.atleast_1d(np.asarray(base.mean(), dtype=float))
-            self.label = self.spec.label()
+            self.label = self.source.label()
         elif kind in ("f1_adversary", "two_point"):
             _require(d == 1, f"model kind {kind!r} is univariate but grid.d = {d}")
             _require(epsilon > 0.0, f"model kind {kind!r} needs epsilon > 0, got {epsilon}")
@@ -553,16 +573,15 @@ class _CellModel:
                 _only_keys(model, "model", "kind", "law", "a")
                 law_name = _model_value(model, "model.law", "f1", lambda v: v in ("f1", "f2"), "'f1' or 'f2'")
                 a = _model_value(model, "model.a", None, lambda v: _is_finite(v) and v > 0, "a positive number")
-                law = AdversaryLaw(law_name, float(a), sigma, epsilon, q)
-                self.law = law
-                self.theta0 = np.atleast_1d(np.asarray(law.base.mean(), dtype=float))
-                self.label = f"f1_adversary:{law.name}"
+                self.source = AdversaryLaw(law_name, float(a), sigma, epsilon, q)
+                self.theta0 = np.atleast_1d(np.asarray(self.source.base.mean(), dtype=float))
+                self.label = f"f1_adversary:{law_name}"
             else:
                 _only_keys(model, "model", "kind", "r", "which")
                 r = _model_value(model, "model.r", 2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2")
                 pair = adversary_two_point(float(r), sigma, epsilon, q)
                 which = _model_value(model, "model.which", 1, lambda v: _is_int(v) and v in (1, 2), "1 or 2")
-                self.spec, theta = (pair.spec1, pair.theta1) if which == 1 else (pair.spec2, pair.theta2)
+                self.source, theta = (pair.spec1, pair.theta1) if which == 1 else (pair.spec2, pair.theta2)
                 self.theta0 = np.array([theta])
                 self.label = f"two_point:{which}"
         else:
@@ -590,16 +609,16 @@ class _CellModel:
                 raise ConfigError(f"unknown mechanism2 {m2['name']!r}")
             self.label = f"regression:{self.design}"
 
-    def sample(self, seed: int):
-        if self.kind == "f1_adversary":
-            return self.law.sample(self.n, seed)
+    def sample(self, seed: int) -> ExtendedArray:
+        """The replication's sample; a regression sample holds the design, then the response."""
         if self.kind != "regression":
-            return self.spec.sample(self.n, seed)
+            return self.source.sample(self.n, seed)
         # design rows on role 5, response channel on the seed's own roles
         g = Stream(child_seed(seed, 5)).normals(self.n * self.d).reshape(self.n, self.d)
         X = g if self.design == "gaussian" else np.column_stack([np.ones(self.n), g[:, 1:]])
         Z = sample_regression(X, self.theta0, self.sigma, self.epsilon, self.q, self.mechanism2, seed)
-        return (X, Z)
+        observed = np.column_stack([np.ones(X.shape, dtype=bool), Z.observed])
+        return ExtendedArray(np.column_stack([X, Z.values]), observed)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +628,12 @@ class _CellModel:
 def _run_task(
     cell: _CellModel, estimators: tuple, delta: float, rep: int, rep_seed: int
 ) -> list[ResultRecord]:
-    data = cell.sample(rep_seed)
+    sample = cell.sample(rep_seed)
     records = []
     for j, name in enumerate(estimators):
         ctx = EstimatorContext(cell.epsilon, cell.q, cell.sigma, delta, child_seed(rep_seed, 100 + j))
         try:
-            est = run_estimator(name, data, ctx)
+            est = run_estimator(name, sample, ctx)
             sq = float(np.sum((est - cell.theta0) ** 2))
         except _NUMERIC_ERRORS:
             sq = None
@@ -655,26 +674,16 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> list[Res
 
 
 def generate_datasets(config: ScenarioConfig, out_dir) -> list[str]:
-    """Dump every cell x rep sample as a TAB dataset; returns the paths.
-
-    Regression samples are dumped with d+1 columns: the fully observed
-    design first, the extended response last.
-    """
+    """Dump every cell x rep sample as a TAB dataset; returns the paths."""
     import os
 
     from .models import write_dataset
 
     paths = []
     for ci, cell, rep, rep_seed in _replications(config):
-        data = cell.sample(rep_seed)
-        if isinstance(data, tuple):
-            X, Z = data
-            values = np.column_stack([X, Z.values[:, 0]])
-            observed = np.column_stack([np.ones(X.shape, dtype=bool), Z.observed[:, 0]])
-            data = ExtendedArray(values, observed)
         name = f"{cell.label.replace(':', '_')}_c{ci:03d}_r{rep:03d}.tsv"
         path = os.path.join(out_dir, name)
-        write_dataset(path, data, cell.label, rep_seed)
+        write_dataset(path, cell.sample(rep_seed), cell.label, rep_seed)
         paths.append(path)
     return paths
 

@@ -201,8 +201,6 @@ def iterative_robust_descent(
     1), reshaped to T folds of floor(n/T) rows, so the folds are disjoint.
     The round-1 trimmed mean for coordinate j is seeded child_seed(seed, 2, j).
     """
-    if not isinstance(sample, ExtendedArray):
-        raise DimensionError("sample must be an ExtendedArray")
     if not 0.0 <= epsilon < 0.5:
         raise DomainError(f"epsilon must lie in [0, 1/2), got {epsilon}")
     if not 0.0 < delta <= 1.0:

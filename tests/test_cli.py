@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import missingrobust
-from missingrobust import observed_mean, read_dataset, read_records_csv, run_scenario
+from missingrobust import child_seed, observed_mean, read_dataset, read_records_csv, run_scenario
 from missingrobust.cli import main
 from missingrobust.harness import CSV_HEADER, ScenarioConfig
 
@@ -110,6 +110,37 @@ class TestEstimate:
         expected = np.linalg.lstsq(X[obs], y[obs], rcond=None)[0]
         np.testing.assert_allclose(payload["estimate"], expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "model, estimators, grid",
+        [
+            (
+                {"kind": "regression", "theta0": [0.5, -1.0], "mechanism2": {"name": "residual_above"}},
+                ["ks_regression", "ols_observed"],
+                {"n": [40], "d": [2], "epsilon": [0.2], "q": [0.7], "sigma": [1.5]},
+            ),
+            ({"kind": "mcar", "theta0": 1.0}, ["observed_mean", "min_kolmogorov"], {"n": [40], "q": [0.6]}),
+        ],
+        ids=["regression", "mcar"],
+    )
+    def test_estimate_on_a_dump_reproduces_the_simulated_record(self, tmp_path, capsys, model, estimators, grid):
+        cfg = write_config(tmp_path, model=model, estimators=estimators, grid=grid)
+        out = tmp_path / "data"
+        out.mkdir()
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        records = run_scenario(ScenarioConfig.from_json(cfg))
+        (cell,) = ScenarioConfig.from_json(cfg).cell_models
+        capsys.readouterr()
+        assert len(records) == 4
+        for rec in records:
+            j = estimators.index(rec.estimator)
+            path = out / f"{cell.label.replace(':', '_')}_c000_r{rec.rep:03d}.tsv"
+            flags = {"--epsilon": rec.epsilon, "--q": rec.q, "--sigma": rec.sigma, "--delta": 0.1}
+            argv = ["estimate", "--estimator", rec.estimator, "--data", str(path)]
+            argv += [str(v) for item in flags.items() for v in item]
+            assert main(argv + ["--seed", str(child_seed(rec.seed, 100 + j))]) == 0
+            estimate = np.array(json.loads(capsys.readouterr().out)["estimate"])
+            assert float(np.sum((estimate - cell.theta0) ** 2)) == rec.sq_error
+
     def test_regression_estimator_needs_wide_data(self, tmp_path, capsys):
         path = self.make_dataset(tmp_path)
         code = main(["estimate", "--estimator", "ols_observed", "--data", str(path)])
@@ -199,6 +230,14 @@ class TestSimulateAndReport:
         assert main(["simulate", "--config", str(cfg), "--out", str(parallel), "--workers", "2"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_exit_one(self, tmp_path, capsys, workers):
+        results = tmp_path / "r.csv"
+        code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(results), "--workers", workers])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: --workers: expected an int >= 1, got {workers}")
+        assert not results.exists()
+
     def test_report_rejects_empty_results(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text(CSV_HEADER + "\n")
@@ -270,6 +309,11 @@ class TestProcessEntry:
             ),
             (
                 {"kind": "realisable", "mechanism": {"name": "custom", "knots": [0], "levels": [0.5]}},
+                {"n": [12], "epsilon": [0.1]},
+                "model.mechanism.levels",
+            ),
+            (
+                {"kind": "realisable", "mechanism": {"name": "custom", "knots": [0.0], "levels": [5.0, -3.0]}},
                 {"n": [12], "epsilon": [0.1]},
                 "model.mechanism.levels",
             ),

@@ -159,6 +159,9 @@ class TestScenarioConfig:
             ({"n": [10], "epsilon": [False]}, r"grid\.epsilon entries"),
             ({"n": [10], "q": [True]}, r"grid\.q entries"),
             ({"n": [10], "sigma": ["1"]}, r"grid\.sigma entries"),
+            ({"n": [50, 50]}, r"grid\.n must not repeat a value"),
+            ({"n": [10], "q": [0.5, 1, 0.5]}, r"grid\.q must not repeat a value"),
+            ({"n": [10], "epsilon": [0, 0.0]}, r"grid\.epsilon must not repeat a value"),
         ],
     )
     def test_grid_entry_checks(self, grid, match):
@@ -179,6 +182,7 @@ class TestScenarioConfig:
             ({"delta": True}, "delta"),
             ({"delta": "0.1"}, "delta"),
             ({"seed": True}, "seed"),
+            ({"estimators": ["median_of_means", "median_of_means"]}, "estimators must not repeat a name"),
         ],
     )
     def test_scalar_field_checks(self, patch, match):

@@ -2,12 +2,19 @@
 
 ``perfbench/spans.py`` wraps library functions by attribute name, so a
 refactor that renames or moves one would break ``perfbench/run.py --trace 1``
-without failing any library test.  The module is compiled from its source
-here, without importing it as a package or writing bytecode next to it.
+without failing any library test.  The hooks are installed after a config
+is loaded, so a cell that bound its sampler at load would bypass them; a
+traced run of each model kind therefore has to record its samples.  The
+module is compiled from its source here, without importing it as a package
+or writing bytecode next to it.
 """
 
 import types
 from pathlib import Path
+
+import pytest
+
+from missingrobust import ScenarioConfig, run_scenario
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,3 +37,26 @@ def test_every_traced_attribute_exists_and_is_restored():
             assert vars(owner)[attr] is not before[owner, attr], f"{owner.__name__}.{attr} was not wrapped"
     for owner, attr in targets:
         assert vars(owner)[attr] is before[owner, attr], f"{owner.__name__}.{attr} was not restored"
+
+
+@pytest.mark.parametrize(
+    "model, estimator, grid",
+    [
+        ({"kind": "mcar"}, "observed_mean", {"n": [20], "q": [0.7]}),
+        ({"kind": "realisable"}, "observed_mean", {"n": [20], "epsilon": [0.1], "q": [0.7]}),
+        ({"kind": "arbitrary"}, "observed_mean", {"n": [20], "epsilon": [0.1], "q": [0.7]}),
+        ({"kind": "f1_adversary", "a": 1.0}, "observed_mean", {"n": [20], "epsilon": [0.2]}),
+        ({"kind": "two_point"}, "observed_mean", {"n": [20], "epsilon": [0.2], "q": [0.7]}),
+        ({"kind": "regression", "theta0": [1.0, -1.0]}, "ols_observed", {"n": [20], "d": [2], "q": [0.7]}),
+    ],
+    ids=["mcar", "realisable", "arbitrary", "f1_adversary", "two_point", "regression"],
+)
+def test_traced_run_records_one_sample_span_per_replication(model, estimator, grid):
+    spans = load_spans()
+    raw = {"model": model, "estimators": [estimator], "grid": grid, "reps": 3, "delta": 0.1, "seed": 4}
+    config = ScenarioConfig.from_dict(raw)
+    with spans.Tracer().installed() as tracer:
+        run_scenario(config)
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count("harness.task") == 3
+    assert names.count("models.sample") == 3

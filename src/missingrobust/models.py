@@ -611,8 +611,10 @@ def read_dataset(path) -> tuple[ExtendedArray, dict]:
             if not line:
                 continue
             cells = line.split("\t")
-            if d and len(cells) != d:
-                raise DimensionError(f"{path}: row has {len(cells)} cells, expected {d}")
+            # without a header d, the first data row fixes the width
+            d = d or len(cells)
+            if len(cells) != d:
+                raise DimensionError(f"{path}: line {lineno} has {len(cells)} cells, expected {d}")
             try:
                 row = [0.0 if c == "NA" else float(c) for c in cells]
             except ValueError:

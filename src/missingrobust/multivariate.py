@@ -239,18 +239,37 @@ _NET_REJECTIONS = 200_000
 
 
 def quarter_net(d: int, seed: int) -> np.ndarray:
-    """Greedy 1/4-separated net on the unit sphere, coverage-audited.
+    """Greedy 1/4-separated net on the unit sphere, certified or audited.
 
     Returns the net's K unit directions as a read-only (K, d) array.
 
     Candidates, drawn in batches of 256, are accepted in stream order while
     farther than 1/4 from every kept point; the loop ends after a run of
-    200000 consecutive rejections (the nominal 1e4 * 9^d budget already
-    exceeds that at d = 2).  Each batch is screened against the net kept
-    before it in one broadcast norm; only the candidates that pass are
+    200000 consecutive rejections.  Each batch is screened against the net
+    kept before it in one broadcast norm; only the candidates that pass are
     walked in order against the points the same batch accepted, so the net
     is the one the one-candidate-at-a-time loop keeps, bit for bit.
-    A 1e5 sample audit then checks the net covers the sphere to 1/4 + 0.02.
+
+    At d = 2 the loop can stop as soon as the net provably covers the
+    circle.  After each batch that adds points, sort the angles of the net
+    points and take the widest gap g between neighbours, wrap-around
+    included.  Any unit vector lies within g/2 of a net point in angle, so
+    within the chord 2 sin(g/4) of it; that is the net's exact covering
+    radius.  Once it is below 1/4 - 1e-9, every later candidate is within
+    1/4 of the net and is rejected, so the 200000-rejection loop would keep
+    the same net.  The margin dwarfs the rounding it absorbs, under 1e-14 in
+    all: the normalised net points and candidates have norms within a few
+    ulps of 1, which moves a chord by a few 1e-16; ``arctan2``, the
+    wrap-around sum and the differences move g by a few 1e-15; and
+    ``np.linalg.norm`` adds a few ulps to the distance that the acceptance
+    test compares with 1/4.  The candidate stream (``child_seed(seed, 1)``)
+    is not read after the loop, so stopping early moves no other draw.
+
+    A certified net is returned without the audit below, which could only
+    pass: its bound is 1/4 + 0.02 and the certificate is exact.  Every other
+    net (d >= 3, or a d = 2 loop that ends on the rejection count) gets a
+    1e5-direction sample audit from ``child_seed(seed, 2)`` that checks it
+    covers the sphere to 1/4 + 0.02.
     """
     if d < 1:
         raise DomainError(f"d must be at least 1, got {d}")
@@ -290,6 +309,12 @@ def quarter_net(d: int, seed: int) -> np.ndarray:
             rejections += len(batch) - 1 - prev
         if added:
             net = np.vstack([net, added])
+            if d == 2:
+                angles = np.sort(np.arctan2(net[:, 1], net[:, 0]))
+                widest = np.max(np.diff(angles, append=angles[0] + 2.0 * np.pi))
+                if 2.0 * math.sin(widest / 4.0) < 0.25 - 1e-9:
+                    net.setflags(write=False)
+                    return net
 
     audit = Stream(child_seed(seed, 2)).normals(10**5 * d).reshape(10**5, d)
     audit /= np.linalg.norm(audit, axis=1, keepdims=True)

@@ -172,14 +172,16 @@ class TestEstimate:
             ("# d=x model=m seed=0\n1.5\n", "d='x'"),
             ("# d=1 model=m seed=0\n1.5\ninf\n", "line 3"),
             ("# d=1 model=m seed=0\n1.5\nnan\n", "line 3"),
+            ("# model=m seed=0\n1\t2\n3\n", "line 3 has 1 cells, expected 2"),
+            ("# d=2 model=m seed=0\n1\t2\n\n3\n", "line 4 has 1 cells, expected 2"),
         ],
-        ids=["non_numeric_cell", "non_integer_header", "inf_cell", "nan_cell"],
+        ids=["non_numeric_cell", "non_integer_header", "inf_cell", "nan_cell", "ragged_rows", "row_narrower_than_d"],
     )
     def test_malformed_dump_is_exit_two(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.tsv"
         path.write_text(text)
         assert main(["estimate", "--estimator", "observed_mean", "--data", str(path)]) == 2
-        err = capsys.readouterr().err
+        (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith("error:") and str(path) in err and where in err
 
     @pytest.mark.parametrize(

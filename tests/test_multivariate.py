@@ -272,6 +272,44 @@ class TestQuarterNet:
         want = greedy_net_one_by_one(Stream(child_seed(7, 1)), 2)
         assert quarter_net(2, seed=7).tobytes() == want.tobytes()
 
+    def test_circle_nets_cover_exactly(self):
+        # covering radius of a circle net: the chord over half the widest
+        # angular gap between neighbours, recomputed here from the angles
+        for seed in range(40):
+            net = quarter_net(2, seed=seed)
+            angles = sorted(math.atan2(y, x) for x, y in net)
+            gaps = [b - a for a, b in zip(angles, angles[1:])]
+            gaps.append(angles[0] + 2.0 * math.pi - angles[-1])
+            assert 2.0 * math.sin(max(gaps) / 4.0) <= 0.25, seed
+
+    def test_certificate_ends_the_loop_and_skips_the_audit(self, monkeypatch):
+        built: list[int] = []
+        drawn: dict[int, int] = {}
+
+        class CountingStream(Stream):
+            def __init__(self, seed):
+                super().__init__(seed)
+                built.append(seed)
+
+            def normals(self, k):
+                drawn[self.seed] = drawn.get(self.seed, 0) + k
+                return super().normals(k)
+
+        monkeypatch.setattr(multivariate, "Stream", CountingStream)
+        quarter_net(2, seed=1)
+        assert built == [child_seed(1, 1)]
+        assert drawn[child_seed(1, 1)] < 10_000 * 2
+
+        # d = 3 has no certificate: the loop runs to the count, then the
+        # audit draws its 1e5 directions, and it still refuses a thin net
+        monkeypatch.setattr(multivariate, "_NET_REJECTIONS", 2000)
+        built.clear()
+        quarter_net(3, seed=1)
+        assert built == [child_seed(1, 1), child_seed(1, 2)]
+        assert drawn[child_seed(1, 2)] == 10**5 * 3
+        with pytest.raises(EstimationError, match="net coverage audit failed"):
+            quarter_net(3, seed=0)
+
     def test_coverage(self, net3):
         dirs = Stream(5).normals(2000 * 3).reshape(2000, 3)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -655,20 +655,26 @@ def _replications(config: ScenarioConfig):
 def run_scenario(config: ScenarioConfig, workers: int | None = None) -> list[ResultRecord]:
     """All grid cells x reps x estimators, deterministically ordered.
 
-    ``workers`` > 1 fans replications out to a process pool, each task
-    carrying only its own cell model; the merged output is sorted on the
-    full record key, so worker count never changes the result.
+    ``workers`` > 1 fans replications out to a process pool in contiguous
+    chunks of ``max(1, tasks // (8 * workers))`` tasks.  Neighbouring tasks
+    share a cell model, so a chunk pickles it once, and results come back
+    once per chunk.  The pool is capped at the number of chunks: with the
+    ``fork`` start method every worker is started up front, so a large
+    ``workers`` on a small config would fork processes that get no work.
+    The merged output is sorted on the full record key, so worker count
+    never changes the result.
     """
     tasks = [
         (cell, config.estimators, config.delta, rep, rep_seed)
         for _, cell, rep, rep_seed in _replications(config)
     ]
     if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_task, *zip(*tasks)))
+        chunksize = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=min(workers, math.ceil(len(tasks) / chunksize))) as pool:
+            results = list(pool.map(_run_task, *zip(*tasks), chunksize=chunksize))
     else:
-        chunks = [_run_task(*task) for task in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+        results = [_run_task(*task) for task in tasks]
+    records = [rec for task_records in results for rec in task_records]
     records.sort(key=ResultRecord.sort_key)
     return records
 

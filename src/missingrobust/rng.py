@@ -58,7 +58,8 @@ class Stream:
 
     - ``normals(k)``: k uniforms, transformed by the inverse normal CDF,
     - ``bernoulli(p, k)``: k uniforms,
-    - ``permutation(n)``: n uniforms (ranks of n i.i.d. uniforms),
+    - ``permutation(n)``: n uniforms (their stable-sort ranks, whichever
+      sort computes them),
     - ``categorical(cumprobs, k)``: k uniforms.
     """
 
@@ -79,9 +80,18 @@ class Stream:
         return self.uniforms(k) < p
 
     def permutation(self, n: int) -> np.ndarray:
-        # argsort of n i.i.d. uniforms is a uniform permutation; ties have
-        # probability ~ n^2 / 2^54 and resolve deterministically (stable sort)
-        return np.argsort(self.uniforms(n), kind="stable")
+        """The stable-sort ranks of ``n`` uniforms: ``argsort(u, kind="stable")``.
+
+        The default (SIMD) sort runs first.  Without an exactly equal pair
+        of uniforms the sorting permutation is unique, so it is the stable
+        one; a tie (probability ~ n^2 / 2^54) falls back to the stable sort.
+        """
+        u = self.uniforms(n)
+        order = np.argsort(u)
+        s = u[order]
+        if np.any(s[1:] == s[:-1]):
+            order = np.argsort(u, kind="stable")
+        return order
 
     def categorical(self, cumprobs: np.ndarray, k: int) -> np.ndarray:
         """``k`` indices with P(i) = cumprobs[i] - cumprobs[i-1]."""

@@ -41,6 +41,25 @@ class TestStream:
         p = Stream(4).permutation(1000)
         assert sorted(p) == list(range(1000))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 50, 5000])
+    def test_permutation_is_the_stable_argsort_of_its_uniforms(self, n):
+        u = Stream(31).uniforms(n)
+        assert np.array_equal(Stream(31).permutation(n), np.argsort(u, kind="stable"))
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.array([0.5, 0.25, 0.5, 0.25, 0.75]),
+            # long enough that the default sort orders its tied values
+            # differently from the stable sort
+            (np.arange(100) * 3 % 7) / 8.0,
+        ],
+        ids=["five", "hundred"],
+    )
+    def test_permutation_breaks_ties_like_the_stable_sort(self, monkeypatch, u):
+        monkeypatch.setattr(Stream, "uniforms", lambda self, k: u.copy())
+        assert np.array_equal(Stream(0).permutation(len(u)), np.argsort(u, kind="stable"))
+
     def test_draw_accounting_normals_match_uniforms(self):
         # normals(k) consumes exactly the k uniforms of a fresh stream
         from scipy.special import ndtri

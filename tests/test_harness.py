@@ -380,6 +380,41 @@ class TestRunScenario:
         assert serial == sorted(serial, key=ResultRecord.sort_key)
         assert len(serial) == 2 * 2 * 3
 
+    def test_ragged_chunks_write_the_serial_bytes(self, tmp_path):
+        # 3 cells x 37 reps = 111 tasks on 2 workers: chunks of 111 // 16 = 6
+        # tasks, the last one holding 3
+        cfg = ScenarioConfig.from_dict(
+            cfg_dict(estimators=["observed_mean", "median_of_means"], grid={"n": [20, 30, 40]}, reps=37)
+        )
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        write_records_csv(run_scenario(cfg), serial)
+        write_records_csv(run_scenario(cfg, workers=2), pooled)
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_pool_is_capped_at_the_number_of_chunks(self, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            """Runs ``map`` in process and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = ScenarioConfig.from_dict(cfg_dict(grid={"n": [20, 30]}, reps=3))
+        serial = run_scenario(cfg)
+        assert run_scenario(cfg, workers=64) == serial
+        assert len(serial) == 6 and len(asked) == 1 and asked[0] <= 6
+
     @pytest.mark.parametrize(
         "mechanism2", [{"name": "constant", "c": 0.7}, {"name": "residual_above"}], ids=lambda m: m["name"]
     )

@@ -5,16 +5,15 @@ the set of realisable contaminations of a fixed continuous base.  The set
 distance reduces to a small feasibility system over the target CDF values at
 the observed points: increments between consecutive points are sandwiched by
 lo_mass/hi_mass times the base increment, while the Kolmogorov band couples
-each CDF value to the empirical staircase.  One row-wise function turns base
-CDF values into the chain of cumulated increment bounds, for a single base,
-a batch of candidate bases or a subset of the chain nodes alike.  The
-minimal band width follows in closed form from pairwise node constraints as
-a maximum of prefix-max expressions; the same kernel run on a subset of the
-chain nodes gives a lower bound, which grid scans use to skip candidates
-before the exact pass.  The symmetrized variant is minimized exactly over
-the target's total real mass as the upper envelope of five lines, one per
-slope.  The independent LP cross-check lives with the tests
-(``tests/oracles.py``).
+each CDF value to the empirical staircase.  The chain is the base CDF scaled
+by lo_mass and hi_mass, for a single base, a batch of candidate bases or a
+subset of the chain nodes alike.  The minimal band width follows in closed
+form from pairwise node constraints as a maximum of prefix-max expressions;
+the same kernel run on a subset of the chain nodes gives a lower bound,
+which grid scans use to skip candidates before the exact pass.  The
+symmetrized variant is minimized exactly over the target's total real mass
+as the upper envelope of five lines, one per slope.  The independent LP
+cross-check lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -98,23 +97,21 @@ class RealisableSetSpec:
 
 
 def _chain(F: np.ndarray, lo_mass: float, hi_mass: float):
-    """Prefix sums (SL, SU) of the increment bounds, row-wise along the last axis.
+    """Chain bounds (SL, SU) = (lo_mass, hi_mass) * [F, 1], row-wise along the last axis.
 
-    ``F`` holds base CDF values at the sorted observed points; the chain adds
-    node m+1 with F = 1.  Increment j bounds V_{j+1} - V_j, the target mass
-    between consecutive observed values, by lo_mass/hi_mass times the base
-    mass there; SL_j, SU_j at nodes 1..m+1 are their cumulated sums.
+    ``F`` holds base CDF values at the sorted observed points; node m+1 has
+    F = 1.  The target mass V_k - V_i between nodes i <= k lies in
+    [SL_k - SL_i, SU_k - SU_i].  The running max guards the kernel's need for
+    a nondecreasing chain, as ``dist_to_realisable_batch`` takes F from its caller.
     """
-    F = np.asarray(F, dtype=float)
-    edge = np.zeros(F.shape[:-1] + (1,))
-    gaps = np.maximum(np.diff(np.concatenate([edge, F, edge + 1.0], axis=-1), axis=-1), 0.0)
-    SL, SU = np.cumsum(np.multiply.outer((lo_mass, hi_mass), gaps), axis=-1)
-    return SL, SU
+    F = np.maximum.accumulate(np.asarray(F, dtype=float), axis=-1)
+    G = np.concatenate([F, np.ones(F.shape[:-1] + (1,))], axis=-1)
+    return lo_mass * G, hi_mass * G
 
 
 @dataclass(frozen=True)
 class ChainBounds:
-    """Prefix sums of the target CDF increment bounds at chain nodes 1..m+1.
+    """The chain bounds lo_mass * [F, 1] and hi_mass * [F, 1] at nodes 1..m+1.
 
     ``prefix_lower[j-1]`` and ``prefix_upper[j-1]`` bound V_j from the chain
     alone; node 0 is pinned at V_0 = 0 and node m+1 carries the total mass.
@@ -134,11 +131,11 @@ class ChainBounds:
 def _plain_distance(L: np.ndarray, U: np.ndarray, n: int, nodes=None):
     """Smallest feasible band width, row-wise along the last axis.
 
-    L, U are the prefix sums SL_j, SU_j of the increment bounds at chain
-    nodes 1..m+1 (node 0 is pinned at 0).  Node j must lie in the window
-    [a_j, b_j] = [max(e_j - t, 0), min(f_j + t, 1)] with e_j = min(j, m)/n
-    and f_j = (j-1)/n.  Because SU - SL is nondecreasing, feasibility is the
-    set of pairwise constraints a_i - b_k <= SL_i - SL_k (i <= k) and
+    L, U are the chain bounds SL_j, SU_j at nodes 1..m+1 (node 0 is pinned
+    at 0).  Node j must lie in the window [a_j, b_j] =
+    [max(e_j - t, 0), min(f_j + t, 1)] with e_j = min(j, m)/n and
+    f_j = (j-1)/n.  As SU - SL = epsilon * [F, 1] is nondecreasing, feasibility
+    is the set of pairwise constraints a_i - b_k <= SL_i - SL_k (i <= k) and
     a_i - b_k <= SU_i - SU_k (i >= k); each splits into affine lower bounds
     on t, whose maximum is taken through prefix maxima.  The cap b_k <= 1
     adds nothing: a_i <= SU_i (the pinned-start pair) already gives
@@ -147,7 +144,9 @@ def _plain_distance(L: np.ndarray, U: np.ndarray, n: int, nodes=None):
     ``nodes`` gives the global index j of each column, an increasing subset
     of 1..m+1 that ends at m+1 (default: every node, the exact width).  Each
     term is a max over single nodes or node pairs i <= k, so on a proper
-    subset the result is a lower bound on the exact width.
+    subset the result is a lower bound on the exact width.  Rounding is
+    monotone, so it is one in floating point too, given the full chain's
+    floats at those nodes (``_chain`` on the subset of a nondecreasing F).
     """
     if nodes is None:
         nodes = np.arange(1, L.shape[-1] + 1)

@@ -146,12 +146,12 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     The scan is screened: the set-distance kernel on about 128 evenly spaced
     chain nodes gives a lower bound for every grid row, the exact kernel runs
     on the row with the smallest bound, and then on every row whose bound
-    comes within 1e-9 of that exact value (the slack covers the rounding gap
-    between the chain cumulated over the node subset and over every node).
-    A row that could tie or beat the minimum is always evaluated exactly, so
-    the argmin is the full scan's.  ``meta`` reports the rows evaluated
-    exactly (``scan_rows_exact``) and the scalar objective evaluations
-    (``objective_evals``).
+    does not exceed that exact value.  The chain on the node subset is the
+    full chain at those nodes bit for bit, so the bound is a lower bound in
+    floating point too.  A row that could tie or beat the minimum is always
+    evaluated exactly, so the argmin is the full scan's.  ``meta`` reports
+    the rows evaluated exactly (``scan_rows_exact``) and the scalar
+    objective evaluations (``objective_evals``).
     """
     spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q)
     summary = sample if isinstance(sample, EmpiricalSummary) else EmpiricalSummary.from_sample(sample)
@@ -196,7 +196,7 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
 
     first = int(np.argmin(bound))
     scan_exact(np.array([first]))
-    contenders = np.flatnonzero(bound <= exact[first] + 1e-9)
+    contenders = np.flatnonzero(bound <= exact[first])
     scan_exact(contenders[contenders != first])
     best = int(np.argmin(exact))
     a = grid[max(best - 2, 0)]

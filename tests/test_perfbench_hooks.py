@@ -60,3 +60,34 @@ def test_traced_run_records_one_sample_span_per_replication(model, estimator, gr
     names = [s[spans.NAME] for s in tracer.spans]
     assert names.count("harness.task") == 3
     assert names.count("models.sample") == 3
+
+
+@pytest.mark.parametrize(
+    "model, estimator, grid, layers",
+    [
+        (
+            {"kind": "f1_adversary", "a": 1.0},
+            "min_kolmogorov",
+            {"n": [200], "epsilon": [0.3], "q": [1.0]},
+            ("univariate.mk", "kolmogorov.batch", "kolmogorov.dist", "kolmogorov.chain_bounds"),
+        ),
+        (
+            {"kind": "regression", "theta0": [1.0, -1.0]},
+            "ks_regression",
+            {"n": [100], "d": [2], "epsilon": [0.2], "q": [0.8]},
+            ("regression.fit", "kolmogorov.sym", "kolmogorov.chain_bounds"),
+        ),
+    ],
+    ids=["min_kolmogorov", "ks_regression"],
+)
+def test_traced_estimator_records_its_set_distance_layers(model, estimator, grid, layers):
+    # a kernel refactor that stops calling a traced entry point must fail
+    # here, not silently zero a per-layer metric of the benchmark
+    spans = load_spans()
+    raw = {"model": model, "estimators": [estimator], "grid": grid, "reps": 1, "delta": 0.1, "seed": 4}
+    config = ScenarioConfig.from_dict(raw)
+    with spans.Tracer().installed() as tracer:
+        run_scenario(config)
+    names = [s[spans.NAME] for s in tracer.spans]
+    for layer in layers:
+        assert names.count(layer) > 0, f"{estimator} recorded no {layer} span"

@@ -384,6 +384,8 @@ class ScenarioConfig:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config {path} is not text: {e}") from e
         return ScenarioConfig.from_dict(raw)
 
     def _validate_compatibility(self) -> None:
@@ -392,40 +394,28 @@ class ScenarioConfig:
         ds = self.grid["d"]
         for name in self.estimators:
             _require(name in _REGISTRY, f"unknown estimator {name!r}; known: {', '.join(ESTIMATORS)}")
-            if name in _REGRESSION:
+            if name in _MULTIVARIATE:
+                compatible = kind in _VECTOR_KINDS
+            else:  # a regression estimator needs a regression model, a univariate one any other kind
+                compatible = (kind == "regression") == (name in _REGRESSION)
+            _require(compatible, f"estimator {name!r} is incompatible with model kind {kind!r}")
+            if name in _UNIVARIATE:
+                _require(all(d == 1 for d in ds), f"estimator {name!r} is univariate but grid.d = {ds}")
+            if name == "min_kolmogorov_multi" and any(d > 1 for d in ds):
+                # arbitrary cells mask each coordinate, leaving rows partly observed at q < 1
+                per_coordinate = (
+                    kind == "mcar" and self.model.get("pattern", "independent") != "all_or_nothing"
+                ) or (kind == "arbitrary" and min(self.grid["q"]) < 1.0)
                 _require(
-                    kind == "regression",
-                    f"estimator {name!r} is incompatible with model kind {kind!r}",
-                )
-            elif name in _UNIVARIATE:
-                _require(
-                    kind != "regression",
-                    f"estimator {name!r} is incompatible with model kind {kind!r}",
+                    not per_coordinate,
+                    "estimator 'min_kolmogorov_multi' needs all-or-nothing missingness for d > 1 "
+                    f"but model kind {kind!r} uses per-coordinate patterns",
                 )
                 _require(
-                    all(d == 1 for d in ds),
-                    f"estimator {name!r} is univariate but grid.d = {ds}",
+                    max(ds) <= _NET_MAX_D,
+                    f"grid.d = {max(ds)} is too large for estimator 'min_kolmogorov_multi': "
+                    f"its quarter net is capped at d = {_NET_MAX_D}",
                 )
-            else:
-                _require(
-                    kind in _VECTOR_KINDS,
-                    f"estimator {name!r} is incompatible with model kind {kind!r}",
-                )
-                if name == "min_kolmogorov_multi" and any(d > 1 for d in ds):
-                    # arbitrary cells mask each coordinate, leaving rows partly observed at q < 1
-                    per_coordinate = (
-                        kind == "mcar" and self.model.get("pattern", "independent") != "all_or_nothing"
-                    ) or (kind == "arbitrary" and min(self.grid["q"]) < 1.0)
-                    _require(
-                        not per_coordinate,
-                        "estimator 'min_kolmogorov_multi' needs all-or-nothing missingness for d > 1 "
-                        f"but model kind {kind!r} uses per-coordinate patterns",
-                    )
-                    _require(
-                        max(ds) <= _NET_MAX_D,
-                        f"grid.d = {max(ds)} is too large for estimator 'min_kolmogorov_multi': "
-                        f"its quarter net is capped at d = {_NET_MAX_D}",
-                    )
         if "iterative_robust_descent" in self.estimators:
             for n, d, epsilon, _, _ in self.cells:
                 T, M = _descent_plan(n, d, epsilon, self.delta, DescentConfig())
@@ -776,19 +766,26 @@ _COLUMN_PARSERS = tuple(_PARSERS[f.type] for f in fields(ResultRecord))
 
 
 def read_records_csv(path) -> list[ResultRecord]:
+    """Records of a results CSV; n or d below 1 or a NaN or negative sq_error is a malformed row."""
     records = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            try:
-                if len(parts) != len(_COLUMNS):
-                    raise ValueError(f"{len(parts)} fields, expected {len(_COLUMNS)}")
-                records.append(ResultRecord(*(parse(p) for parse, p in zip(_COLUMN_PARSERS, parts))))
-            except ValueError as e:
-                raise ConfigError(f"{path}: line {lineno}: malformed row {line!r} ({e})") from None
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n")
+            if header != CSV_HEADER:
+                raise ConfigError(f"{path}: unexpected header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.rstrip("\n").split(",")
+                try:
+                    if len(parts) != len(_COLUMNS):
+                        raise ValueError(f"{len(parts)} fields, expected {len(_COLUMNS)}")
+                    rec = ResultRecord(*(parse(p) for parse, p in zip(_COLUMN_PARSERS, parts)))
+                    if rec.n < 1 or rec.d < 1 or not (rec.sq_error is None or rec.sq_error >= 0):
+                        raise ValueError("need n >= 1, d >= 1 and sq_error NA or >= 0")
+                except ValueError as e:
+                    raise ConfigError(f"{path}: line {lineno}: malformed row {line!r} ({e})") from None
+                records.append(rec)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not text: {e}") from None
     return records
 
 

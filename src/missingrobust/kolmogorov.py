@@ -11,8 +11,9 @@ subset of the chain nodes alike.  The minimal band width follows in closed
 form from pairwise node constraints as a maximum of prefix-max expressions;
 the same kernel run on a subset of the chain nodes gives a lower bound,
 which grid scans use to skip candidates before the exact pass.  The
-symmetrized variant is minimized exactly over the target's total real mass
-as the upper envelope of five lines, one per slope.  The independent LP
+symmetrized variant's minimum over the target's total real mass is in
+closed form too: the pieces that do not decrease in that mass, taken at its
+smallest value, with no search over the mass.  The independent LP
 cross-check lives with the tests (``tests/oracles.py``).
 """
 
@@ -188,56 +189,59 @@ def dist_to_realisable_batch(
     return _plain_distance(L, U, int(n_total))
 
 
-_SLOPES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])  # of the five lines of t*(c)
-
-
 def dist_to_realisable_sym(summary: EmpiricalSummary, spec: RealisableSetSpec) -> float:
-    """Symmetrized set distance, solved exactly as the upper envelope of five lines.
+    """Symmetrized set distance in closed form: the nondecreasing pieces at c = lo_mass.
 
     Adds the upper-half-line comparisons to the band constraints.  At total
-    real mass c of the target, the minimal feasible band width t*(c) is the
-    largest of 14 affine lower bounds b + s c.  Rows a = 1, 2 of the window
-    offsets P (lower chain) and Q (upper chain) have slopes s_a = 0, 1; with
-    G the prefix max of P, H the prefix min of Q and D = SL - SU, the bounds
-    are the window pairs (G_a - H_b + D) / 2 (slope (s_a - s_b) / 2), the
-    windows against the pinned start P_a + D and D - Q_b (slopes s_a and
-    -s_b), the landings on c at the last node G_a + SL_{m+1} and
-    -SU_{m+1} - H_b (slopes s_a - 1 and 1 - s_b), and m/n - c, c - m/n.
+    real mass c in [c_lo, c_hi] = [lo, min(1, hi)] of the target, with
+    (lo, hi) = (lo_mass, hi_mass), the minimal feasible band width t*(c) is
+    the largest of 14 affine pieces.  With k = 1..m, P = k/n - SL,
+    Q = (k-1)/n - SU, D = SL - SU, G the prefix max of P, H the prefix min
+    of Q and X = max(G - H + D), each slope-0 piece has twins equal to it
+    at c = m/n (rows: total mass, window pairs, windows against the pinned
+    start, landings on c at the last node):
 
-    Every slope is -1, -1/2, 0, 1/2 or 1, and within a slope class
-    max_i (b_i + s c) = (max_i b_i) + s c, so t*(c) is the maximum of five
-    lines, each with the top intercept of its class.  That maximum is convex
-    and piecewise affine with kinks only where two of the lines cross, so
-    its minimum over [c_lo, c_hi], and that of max(t*, 0), lies at an end
-    or at one of the 10 crossings (each found twice, 22 candidates).
-    Rounding is monotone, so each line's value at a candidate is the
-    largest of its class's pieces bit for bit.
+        0                m/n - c,  c - m/n
+        X / 2            (X + m/n - c) / 2,  (X + c - m/n) / 2
+        max(P + D)       max(P + D) + c - m/n
+        max(D - Q)       max(D - Q) + m/n - c
+        G_m + lo - m/n   G_m + lo - c
+        m/n - hi - H_m   c - hi - H_m
+
+    A twin of negative slope lies at or below its piece for c >= m/n, one
+    of positive slope for c <= m/n.  So t* >= N, the maximum of 0 and the
+    pieces of slope >= 0, which is nondecreasing; min max(t*, 0) = N(c_lo):
+    - lo >= m/n: at c_lo the negative twins lie under their pieces.
+    - c_lo < m/n <= c_hi: N(c_lo) = S0, the maximum of 0 and the slope-0
+      pieces, and t*(m/n) = S0 as all twins agree there.
+    - m/n > c_hi: then c_hi = hi < 1 and N(c_lo) = S0.  At c = hi each
+      negative twin is at most S0, as SL = lo F and SU = hi F with F
+      nondecreasing in [0, 1]: m/n - hi <= P_m + D_m; G_m + lo - hi <=
+      max(P + D), by (hi - lo)(1 - F_k) >= 0 at each k; max(D - Q) + m/n - hi
+      <= m/n - hi - H_m term by term, as D <= 0 and H_m <= Q_k; and for
+      i, j <= k, P_i - Q_j + D_k + m/n - hi = (P_i + D_i) + (m/n - hi - Q_j)
+      + (hi - lo)(F_i - F_k) <= 2 S0.
+    Folding the twins in through max(lo - m/n, 0) leaves seven terms.
     """
     m, n = summary.m, summary.n_total
     bounds = ChainBounds.from_data(summary, spec)
-    SL, SU = bounds.prefix_lower, bounds.prefix_upper  # nodes 1..m+1
-    c_lo, c_hi = SL[m], min(1.0, SU[m])
-
-    j = np.arange(m) + np.array([[0], [-m]])  # row 2 carries + c
-    P, Q, D = (j + 1) / n - SL[:m], j / n - SU[:m], SL[:m] - SU[:m]
-    G, H = np.maximum.accumulate(P, axis=-1), np.minimum.accumulate(Q, axis=-1)
+    SL, SU = bounds.prefix_lower[:m], bounds.prefix_upper[:m]  # nodes 1..m
+    lo, hi = bounds.prefix_lower[m], bounds.prefix_upper[m]
+    gap = lo - m / n
+    shift = max(gap, 0.0)
+    e = np.arange(m + 1) / n  # e[k] = k/n
+    P, Q, D = e[1:] - SL, e[:-1] - SU, SL - SU
+    G, H = np.maximum.accumulate(P), np.minimum.accumulate(Q)
 
     def top(x):  # max over the nodes; -inf when there are none (m = 0)
-        return np.max(x, axis=-1, initial=-np.inf)
+        return np.max(x, initial=-np.inf)
 
-    window = 0.5 * top(G[:, None] - H[None, :] + D)  # [a, b]: row a of G, row b of H
-    start_p, start_q = top(P + D), top(D - Q)
-    land_p, land_q = top(G[:, -1:]) + SL[m], top(-H[:, -1:]) - SU[m]
-    b = np.array([  # the top intercept of each slope, in _SLOPES order
-        max(m / n, start_q[1], land_p[0]),
-        window[0, 1],
-        max(window[0, 0], window[1, 1], start_p[0], start_q[0], land_p[1], land_q[1]),
-        window[1, 0],
-        max(-m / n, start_p[1], land_q[0]),
-    ])
-    s = _SLOPES
-    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal; -inf - -inf when m = 0
-        x = (b[None, :] - b[:, None]) / (s[:, None] - s[None, :])
-    cands = np.clip(np.concatenate([[c_lo, c_hi], x[np.isfinite(x)]]), c_lo, c_hi)
-    vals = np.max(b + np.outer(cands, s), axis=1)
-    return float(np.min(np.maximum(vals, 0.0)))
+    return float(max(
+        0.0,
+        gap,
+        0.5 * (top(G - H + D) + shift),  # window pairs
+        top(P + D) + shift,  # lower windows against the pinned start
+        top(D - Q),  # upper windows against the pinned start
+        top(G[-1:]) + gap,  # landing of the lower chain
+        max(lo, m / n) - hi + top(-H[-1:]),  # landing of the upper chain
+    ))

@@ -594,35 +594,38 @@ def read_dataset(path) -> tuple[ExtendedArray, dict]:
     """Read a dump produced by :func:`write_dataset`."""
     meta: dict = {}
     vals, obs = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise DomainError(f"{path}: missing header line")
-        for part in header.lstrip("#").split():
-            if "=" in part:
-                k, v = part.split("=", 1)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if not header.startswith("#"):
+                raise DomainError(f"{path}: missing header line")
+            for part in header.lstrip("#").split():
+                if "=" in part:
+                    k, v = part.split("=", 1)
+                    try:
+                        meta[k] = int(v) if k in ("d", "seed") else v
+                    except ValueError:
+                        raise DomainError(f"{path}: header {k}={v!r} is not an integer") from None
+            d = int(meta.get("d", 0))
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split("\t")
+                # without a header d, the first data row fixes the width
+                d = d or len(cells)
+                if len(cells) != d:
+                    raise DimensionError(f"{path}: line {lineno} has {len(cells)} cells, expected {d}")
                 try:
-                    meta[k] = int(v) if k in ("d", "seed") else v
+                    row = [0.0 if c == "NA" else float(c) for c in cells]
                 except ValueError:
-                    raise DomainError(f"{path}: header {k}={v!r} is not an integer") from None
-        d = int(meta.get("d", 0))
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split("\t")
-            # without a header d, the first data row fixes the width
-            d = d or len(cells)
-            if len(cells) != d:
-                raise DimensionError(f"{path}: line {lineno} has {len(cells)} cells, expected {d}")
-            try:
-                row = [0.0 if c == "NA" else float(c) for c in cells]
-            except ValueError:
-                raise DomainError(f"{path}: line {lineno} has a non-numeric cell: {line!r}") from None
-            if not all(map(math.isfinite, row)):
-                raise DomainError(f"{path}: line {lineno} has a non-finite cell: {line!r}")
-            vals.append(row)
-            obs.append([c != "NA" for c in cells])
+                    raise DomainError(f"{path}: line {lineno} has a non-numeric cell: {line!r}") from None
+                if not all(map(math.isfinite, row)):
+                    raise DomainError(f"{path}: line {lineno} has a non-finite cell: {line!r}")
+                vals.append(row)
+                obs.append([c != "NA" for c in cells])
+    except UnicodeDecodeError as e:
+        raise DomainError(f"{path}: not text: {e}") from None
     if not vals:
         raise SizeError(f"{path}: no data rows")
     return ExtendedArray(np.array(vals), np.array(obs, dtype=bool)), meta

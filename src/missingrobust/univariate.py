@@ -83,14 +83,9 @@ def median_of_means(data, M: int, seed: int) -> UniEstimate:
     if not 1 <= M <= n:
         raise DomainError(f"need 1 <= M <= n, got M={M}, n={n}")
     perm = Stream(child_seed(seed, 1)).permutation(n)
-    big = n % M
-    size = n // M
-    means = []
-    ix = 0
-    for b in range(M):
-        s = size + 1 if b < big else size
-        means.append(float(np.mean(x[perm[ix : ix + s]])))
-        ix += s
+    size, big = divmod(n, M)  # the first ``big`` blocks take one more row
+    cuts = np.cumsum([size + 1] * big + [size] * (M - big))[:-1]
+    means = [float(np.mean(x[block])) for block in np.split(perm, cuts)]
     return UniEstimate(order_median(means), {"M": M, "block_sizes": (size + 1, size) if big else (size,)})
 
 

@@ -17,9 +17,9 @@ fixtures too; they use only the public attributes of the package's objects.  ``a
 ``AdversaryLaw.sample``'s closed-form inversion replaced: it bisects
 ``law.cdf`` on the same role-1 uniforms, so the two routes share only the
 stream and the CDF.  ``sym_distance_by_all_crossings`` is the fourteen-piece
-symmetrised distance that the five-line envelope replaced: it shares only
-``ChainBounds`` with the package kernel and evaluates every pairwise
-crossing of its pieces.
+symmetrised distance minimised over every pairwise crossing of its pieces,
+the search that the package kernel's closed form proves unnecessary: it
+shares only ``ChainBounds`` with the kernel.
 """
 
 from __future__ import annotations

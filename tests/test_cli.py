@@ -59,6 +59,11 @@ class TestGenerate:
         bad.write_text("{")
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+        bad.write_bytes(b'{"model": "\xff"}')  # not UTF-8
+        for command in ("generate", "simulate"):
+            assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+            (err,) = capsys.readouterr().err.splitlines()
+            assert err.startswith("config error:") and str(bad) in err and "not text" in err
 
     def test_missing_config_is_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
@@ -174,12 +179,13 @@ class TestEstimate:
             ("# d=1 model=m seed=0\n1.5\nnan\n", "line 3"),
             ("# model=m seed=0\n1\t2\n3\n", "line 3 has 1 cells, expected 2"),
             ("# d=2 model=m seed=0\n1\t2\n\n3\n", "line 4 has 1 cells, expected 2"),
+            (b"# d=1 model=m seed=0\n1.5\n\xe9\n", "not text"),
         ],
-        ids=["non_numeric_cell", "non_integer_header", "inf_cell", "nan_cell", "ragged_rows", "row_narrower_than_d"],
+        ids=["non_numeric_cell", "non_integer_header", "inf_cell", "nan_cell", "ragged_rows", "row_narrower_than_d", "non_utf8"],
     )
     def test_malformed_dump_is_exit_two(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.tsv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["estimate", "--estimator", "observed_mean", "--data", str(path)]) == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith("error:") and str(path) in err and where in err
@@ -252,6 +258,22 @@ class TestSimulateAndReport:
         assert main(["report", "--in", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(bad) in err and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            (b"mcar:gaussian,observed_mean,0,1,0,1,1,1,5,0.25,NA", "line 3: malformed row"),
+            (b"mcar:gaussian,observed_mean,12,1,0,1,1,1,5,0.25\xff,NA", "not text"),
+        ],
+        ids=["n_zero", "non_utf8"],
+    )
+    def test_report_rejects_a_bad_row_without_traceback(self, tmp_path, capsys, row, where):
+        bad = tmp_path / "bad.csv"
+        good = b"mcar:gaussian,observed_mean,12,1,0,1,1,0,5,0.25,NA"
+        bad.write_bytes(b"\n".join([CSV_HEADER.encode(), good, row, b""]))
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error:") and str(bad) in err and where in err
 
     def test_iterative_descent_below_its_minimum_n_is_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, estimators=["iterative_robust_descent"], grid={"n": [1000], "d": [2]})

@@ -644,6 +644,20 @@ class TestCsvIo:
         short.write_text(CSV_HEADER + "\ns,e,1,1,0,1,1,0,0,NA\n")
         with pytest.raises(ConfigError, match="malformed row"):
             read_records_csv(short)
+        # n and d below 1 (math.log(0) in rate_table) and NaN or negative sq_error
+        path = tmp_path / "rows.csv"
+        for row in (
+            "s,e,0,1,0,1,1,0,0,0.5,NA",
+            "s,e,10,0,0,1,1,0,0,0.5,NA",
+            "s,e,10,1,0,1,1,0,0,nan,NA",
+            "s,e,10,1,0,1,1,0,0,-0.5,NA",
+        ):
+            path.write_text(f"{CSV_HEADER}\ns,e,10,1,0,1,1,0,0,0.25,NA\n{row}\n")
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: line 3: malformed row")):
+                read_records_csv(path)
+        path.write_bytes(CSV_HEADER.encode() + b"\n\xff\xfe,e\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not text")):
+            read_records_csv(path)
 
     def test_table_csv(self, tmp_path):
         rows = rate_table([make_record(n=50)])

@@ -68,12 +68,16 @@ def large_instance(rng):
 
 
 def sym_cases():
-    """(name, summary, spec) for the pinned symmetrised distances."""
+    """(name, summary, spec) for the pinned symmetrised distances.
+
+    Each case of the kernel's proof occurs: lo_mass >= m/n (all_missing,
+    single, single_clean, upper_start, lower_landing), c_lo < m/n <= c_hi
+    (q_one, interior, m300, residual_set) and m/n > c_hi (eps_zero, rounded).
+    """
     yield "all_missing", EmpiricalSummary(np.array([]), 10), RealisableSetSpec(STD, 0.3, 0.8)
     yield "single", EmpiricalSummary(np.array([0.3]), 3), RealisableSetSpec(Gaussian.univariate(0.2, 1.5), 0.2, 0.9)
     yield "single_clean", EmpiricalSummary(np.array([0.0]), 1), RealisableSetSpec(STD, 0.0, 1.0)
     yield "eps_zero", EmpiricalSummary(Stream(61).normals(40), 50), RealisableSetSpec(Gaussian.univariate(-0.3, 1.0), 0.0, 0.7)
-    # these two reach their minimum at a crossing inside (c_lo, c_hi) other than m / n
     yield "q_one", EmpiricalSummary(1.2 * Stream(73).normals(30) - 0.6, 30), RealisableSetSpec(STD, 0.4, 1.0)
     yield "interior", EmpiricalSummary(1.2 * Stream(116).normals(200), 240), RealisableSetSpec(STD, 0.2, 0.9)
     rounded = np.round(2.0 * Stream(63).normals(150)) / 2.0
@@ -82,32 +86,32 @@ def sym_cases():
     yield "m300", EmpiricalSummary(m300, 340), RealisableSetSpec(Gaussian.univariate(0.1, 1.2), 0.25, 0.85)
     # the residual set of the regression fit: epsilon = 1 - q(1 - eps), q = 1
     yield "residual_set", EmpiricalSummary(Stream(65).normals(500), 600), RealisableSetSpec(STD, 1.0 - 0.8 * 0.6, 1.0)
-    # decided by the upper windows against the pinned start (-q1 + D) and by
-    # the zero-slope landing of the lower chain (G2 + SL): without either
-    # piece the result drops by 0.128 and 0.121
+    # decided by the upper windows against the pinned start (D - Q) and by
+    # the landing of the lower chain (G_m + lo_mass - m/n): without either
+    # term the result drops by 0.146 and 0.125
     quarters = np.round(4.0 * (0.4 * Stream(5928).normals(26) + 1.1)) / 4.0
     yield "upper_start", EmpiricalSummary(quarters, 50), RealisableSetSpec(Gaussian.univariate(0.4, 1.3), 0.37, 1.0)
     yield "lower_landing", EmpiricalSummary(0.6 * Stream(9139).normals(14) - 1.1, 24), RealisableSetSpec(Gaussian.univariate(0.1, 1.4), 0.3, 1.0)
 
 
-# dist_to_realisable_sym as float.hex, taken from the 14-pass crossing loop
+# dist_to_realisable_sym as float.hex, from the closed form at c = lo_mass
 SYM_PINNED = {
     "all_missing": "0x1.1eb851eb851ebp-1",
     "single": "0x1.8bf258bf258c1p-2",
     "single_clean": "0x1.0000000000000p-1",
-    "eps_zero": "0x1.ccd6acc24549cp-3",
+    "eps_zero": "0x1.ccd6acc24549ep-3",
     "q_one": "0x1.f35ea2b4ce05ep-3",
     "interior": "0x1.e217876aa6d74p-5",
     "rounded": "0x1.348f4c85d2212p-2",
-    "m300": "0x1.290c81541f978p-3",
-    "residual_set": "0x1.de54074a8daa0p-7",
+    "m300": "0x1.290c81541f976p-3",
+    "residual_set": "0x1.de54074a8da80p-7",
     "upper_start": "0x1.56567d5f2c9e6p-2",
     "lower_landing": "0x1.8848dbe7f46bep-2",
 }
 
 
 def reference_instances():
-    """Seeded (summary, spec) pairs for the bit-exact check against all 182 crossings.
+    """Seeded (summary, spec) pairs for the check against all 182 crossings.
 
     A fifth each has m = 0-3, ties (data on a half grid), epsilon = 0, q = 1
     or a ``residual_set`` level; the last 100 have regression sizes, m =
@@ -223,10 +227,47 @@ class TestOracleAgreement:
         assert got_sym == pytest.approx(want_sym, abs=1e-6)
         assert got_sym >= got - 1e-9
 
-    def test_sym_matches_all_crossings_bit_for_bit(self):
+    def test_sym_matches_all_crossings_to_rounding(self):
+        """The closed form against the 182-crossing oracle, to 8u = 2**-50 (8.9e-16), u = 2**-53.
+
+        Take the floats both routes share as exact: j/n, m/n, SL, SU and the
+        row-1 offsets P, Q, D, G, H with P + D, D - Q and G - H + D, which the
+        oracle forms in the same order.  Let V be the exact minimum over c
+        when the row-2 offsets are these minus m/n.  Every intermediate stays
+        below 4 in magnitude and mostly below 2, so one rounding costs at
+        most u (2u above 2); max, min, negation and halving are exact.
+        - Each closed-form term is a shared float plus at most two roundings
+          (the u/2 of lo - m/n and one sum), so the closed form is within 2u
+          of V in the first two cases, where the kernel's proof is pure twin
+          algebra.
+        - In the third case the proof also uses (hi - lo) F <= hi - lo and
+          (hi - lo) F nondecreasing.  Rounding SL and SU (u/2 each) breaks
+          the first by at most u and the second by at most 2u, which enters
+          halved, so this adds u.
+        - The oracle's row-2 offsets fl((k-m)/n) - SL lie within 3u of
+          P - m/n, and forming a piece and evaluating it at a candidate adds
+          at most 2u more.  Its candidates include c_lo, m/n and c_hi
+          exactly, where V is attained, and it clips every candidate into
+          [c_lo, c_hi], so it is within 5u of V.
+        """
+        bound = 2.0**-50
         for k, (summary, spec) in enumerate(reference_instances()):
             want = sym_distance_by_all_crossings(summary, spec)
-            assert dist_to_realisable_sym(summary, spec) == want, (k, summary.m, summary.n_total)
+            got = dist_to_realisable_sym(summary, spec)
+            assert abs(got - want) <= bound, (k, summary.m, summary.n_total, got - want)
+
+    def test_reference_instances_cover_the_three_cases(self):
+        # the kernel's proof splits on where m/n lies against [c_lo, c_hi]
+        seen = set()
+        for summary, spec in reference_instances():
+            ratio = summary.m / summary.n_total
+            if spec.lo_mass >= ratio:
+                seen.add("lo_mass >= m/n")
+            elif ratio <= min(1.0, spec.hi_mass):
+                seen.add("c_lo < m/n <= c_hi")
+            else:
+                seen.add("m/n > c_hi")
+        assert seen == {"lo_mass >= m/n", "c_lo < m/n <= c_hi", "m/n > c_hi"}
 
     def test_seeded_instances(self):
         rng = np.random.default_rng(123)

@@ -61,9 +61,7 @@ from .models import (
     write_dataset,
 )
 from .multivariate import (
-    DescentConfig,
     as_block_means,
-    iterative_robust_descent,
     multivariate_mk,
     quarter_net,
     robust_block_descent,

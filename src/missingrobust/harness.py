@@ -53,9 +53,6 @@ from .models import (
 )
 from .multivariate import (
     _NET_MAX_D,
-    DescentConfig,
-    _descent_plan,
-    iterative_robust_descent,
     multivariate_mk,
     robust_descent,
 )
@@ -88,7 +85,7 @@ _GRID_KEYS = ("n", "d", "epsilon", "q", "sigma")
 _GRID_DEFAULTS = {"d": [1], "epsilon": [0.0], "q": [1.0], "sigma": [1.0]}
 
 _UNIVARIATE = ("observed_mean", "average_of_extremes", "median_of_means", "trimmed_mean", "min_kolmogorov")
-_MULTIVARIATE = ("complete_case_mean", "robust_descent", "iterative_robust_descent", "min_kolmogorov_multi")
+_MULTIVARIATE = ("complete_case_mean", "robust_descent", "min_kolmogorov_multi")
 _REGRESSION = ("ks_regression", "ols_observed")
 ESTIMATORS = _UNIVARIATE + _MULTIVARIATE + _REGRESSION
 
@@ -180,10 +177,6 @@ def _est_robust_descent(sample, ctx):
     return robust_descent(_complete_rows(sample), ctx.epsilon, ctx.delta, ctx.seed)
 
 
-def _est_iterative_robust_descent(sample, ctx):
-    return iterative_robust_descent(sample, ctx.epsilon, ctx.delta, seed=ctx.seed)
-
-
 def _est_min_kolmogorov_multi(sample, ctx):
     Sigma = ctx.sigma**2 * np.eye(sample.d)
     return multivariate_mk(sample, ctx.epsilon, ctx.q, Sigma, ctx.seed)
@@ -217,7 +210,6 @@ _REGISTRY = {
     "min_kolmogorov": _est_min_kolmogorov,
     "complete_case_mean": _est_complete_case_mean,
     "robust_descent": _est_robust_descent,
-    "iterative_robust_descent": _est_iterative_robust_descent,
     "min_kolmogorov_multi": _est_min_kolmogorov_multi,
     "ks_regression": _est_ks_regression,
     "ols_observed": _est_ols_observed,
@@ -415,15 +407,6 @@ class ScenarioConfig:
                     max(ds) <= _NET_MAX_D,
                     f"grid.d = {max(ds)} is too large for estimator 'min_kolmogorov_multi': "
                     f"its quarter net is capped at d = {_NET_MAX_D}",
-                )
-        if "iterative_robust_descent" in self.estimators:
-            for n, d, epsilon, _, _ in self.cells:
-                T, M = _descent_plan(n, d, epsilon, self.delta, DescentConfig())
-                _require(
-                    n >= T * (M + 1),
-                    f"grid.n = {n} is too small for estimator 'iterative_robust_descent' at "
-                    f"d = {d}, epsilon = {epsilon}: it needs n >= {T * (M + 1)} "
-                    f"(T = {T} rounds of M = {M} blocks)",
                 )
 
 
@@ -626,7 +609,9 @@ def _run_task(
             est = run_estimator(name, sample, ctx)
             sq = float(np.sum((est - cell.theta0) ** 2))
         except _NUMERIC_ERRORS:
-            sq = None
+            sq = math.nan
+        # an error that overflowed is a failure too, and read_records_csv refuses inf
+        sq = sq if math.isfinite(sq) else None
         records.append(
             ResultRecord(
                 cell.label, name, cell.n, cell.d, cell.epsilon, cell.q, cell.sigma, rep, rep_seed, sq
@@ -766,7 +751,9 @@ _COLUMN_PARSERS = tuple(_PARSERS[f.type] for f in fields(ResultRecord))
 
 
 def read_records_csv(path) -> list[ResultRecord]:
-    """Records of a results CSV; n or d below 1 or a NaN or negative sq_error is a malformed row."""
+    """Records of a results CSV; a row is malformed if a field does not parse, n or d is
+    below 1, sq_error is neither NA nor finite and >= 0, or epsilon, q or sigma is out of
+    its grid range."""
     records = []
     try:
         with open(path) as fh:
@@ -779,8 +766,10 @@ def read_records_csv(path) -> list[ResultRecord]:
                     if len(parts) != len(_COLUMNS):
                         raise ValueError(f"{len(parts)} fields, expected {len(_COLUMNS)}")
                     rec = ResultRecord(*(parse(p) for parse, p in zip(_COLUMN_PARSERS, parts)))
-                    if rec.n < 1 or rec.d < 1 or not (rec.sq_error is None or rec.sq_error >= 0):
-                        raise ValueError("need n >= 1, d >= 1 and sq_error NA or >= 0")
+                    if rec.n < 1 or rec.d < 1 or not (rec.sq_error is None or 0.0 <= rec.sq_error < math.inf):
+                        raise ValueError("need n >= 1, d >= 1 and sq_error NA or finite and >= 0")
+                    for key in ("epsilon", "q", "sigma"):
+                        _check_range(key, getattr(rec, key), key)
                 except ValueError as e:
                     raise ConfigError(f"{path}: line {lineno}: malformed row {line!r} ({e})") from None
                 records.append(rec)

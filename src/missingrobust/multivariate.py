@@ -1,15 +1,13 @@
 """Multivariate robust mean estimation under contamination and missingness.
 
-Block-median descent with an approximate spectral weighting subroutine, the
-iterative variant that imputes missing coordinates with the previous round's
-estimate, a quarter-net on the sphere, and the direction-projected
-minimum-distance estimator for all-or-nothing missingness.
+Block-median descent with an approximate spectral weighting subroutine, a
+quarter-net on the sphere, and the direction-projected minimum-distance
+estimator for all-or-nothing missingness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -18,42 +16,23 @@ from .errors import DimensionError, DomainError, EstimationError, ModelError, Si
 from .extended import ExtendedArray
 from .kolmogorov import EmpiricalSummary
 from .rng import Stream, child_seed
-from .univariate import mk_estimate, order_median, trimmed_mean
+from .univariate import mk_estimate, order_median
 
 __all__ = [
-    "DescentConfig",
     "as_block_means",
     "solve_sdp_approx",
     "robust_block_descent",
     "robust_descent",
-    "iterative_robust_descent",
     "quarter_net",
     "multivariate_mk",
 ]
 
 
-# scale in the iterative descent's round count; at 1e-9 the count is T = 2
-_A1 = 1e-9
+# block-count constants of robust_descent, from the analysis
+_A2 = 300.0
+_A3 = 180000.0
 # weight/direction alternations per worst-direction solve
 _SDP_ITERS = 20
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    """Block-count constants of the descents; defaults follow the analysis.
-
-    The defaults are extremely conservative: the block count M they produce
-    is at least 300 epsilon n, so at epsilon >= 1/600 the iterative descent
-    needs more than n rows for any n, and at epsilon = 0, d = 2 and
-    delta = 0.1 it needs n >= 1,723,500.  Experiments override a2/a3.
-    """
-
-    a2: float = 300.0
-    a3: float = 180000.0
-
-    def __post_init__(self):
-        if self.a2 < 1 or self.a3 < 1:
-            raise DomainError("need a2, a3 >= 1")
 
 
 def as_block_means(means) -> np.ndarray:
@@ -146,7 +125,13 @@ def robust_block_descent(block_means) -> np.ndarray:
 
 
 def robust_descent(data, epsilon: float, delta: float, seed: int) -> np.ndarray:
-    """Block-median descent on a seeded partition of complete data."""
+    """Block-median descent on a seeded partition of complete data.
+
+    It uses M = min(n, ceil(max(a2 (2 epsilon n + log(2/delta)), a3 log(2/delta))))
+    blocks of floor(n/M) rows, dropping the remainder, with the analysis
+    constants a2 = 300 and a3 = 180000.  Since log(2/delta) >= log 2, a3 alone
+    makes M = n, one row per block, for every n up to 124,767 at any delta.
+    """
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -161,74 +146,12 @@ def robust_descent(data, epsilon: float, delta: float, seed: int) -> np.ndarray:
         raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    cfg = DescentConfig()
     loginv = math.log(2.0 / delta)
-    M = min(n, math.ceil(max(cfg.a2 * (2.0 * epsilon * n + loginv), cfg.a3 * loginv)))
+    M = min(n, math.ceil(max(_A2 * (2.0 * epsilon * n + loginv), _A3 * loginv)))
     perm = Stream(child_seed(seed, 1)).permutation(n)
     size = n // M
     means = X[perm[: M * size]].reshape(M, size, -1).mean(axis=1)
     return robust_block_descent(means)
-
-
-def _descent_plan(n: int, d: int, epsilon: float, delta: float, cfg: DescentConfig) -> tuple[int, int]:
-    """Round count T and block count M of the iterative descent, which needs n >= T (M + 1).
-
-    T = 1 + ceil(max(log(_A1 (d + log(24 d / delta))), 1)); with _A1 = 1e-9
-    the log is negative, so T = 2 for every d up to 8 at any delta a scenario
-    accepts.
-    """
-    inner = _A1 * (d + math.log(24.0 * d / delta))
-    T = 1 + math.ceil(max(math.log(inner), 1.0))
-    eps_eff = 2.0 * epsilon + 2.0 * T * math.log(3.0 * T / delta) / max(n, 1)
-    M = math.ceil(max(cfg.a2 * n * eps_eff / T, cfg.a3 * math.log(6.0 * T / delta)))
-    return T, M
-
-
-def iterative_robust_descent(
-    sample: ExtendedArray, epsilon: float, delta: float, config: DescentConfig | None = None, seed: int = 0
-) -> np.ndarray:
-    """Round-based descent with any-observed imputation of block means.
-
-    Round 1 runs a per-coordinate trimmed mean on that coordinate's observed
-    entries of the first fold.  Each later round cuts its fold into M blocks
-    of floor(fold / M) consecutive rows (the remainder is discarded), imputes
-    every block mean coordinate with the previous round's estimate when the
-    block has no observation there, and descends on the imputed means.
-    ``config`` sets the block count (see ``DescentConfig``); the round count
-    is T = 2 (see ``_descent_plan``).
-
-    Draw accounting: one permutation of [T * floor(n/T)] on child_seed(seed,
-    1), reshaped to T folds of floor(n/T) rows, so the folds are disjoint.
-    The round-1 trimmed mean for coordinate j is seeded child_seed(seed, 2, j).
-    """
-    if not 0.0 <= epsilon < 0.5:
-        raise DomainError(f"epsilon must lie in [0, 1/2), got {epsilon}")
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    cfg = config if config is not None else DescentConfig()
-    n, d = sample.n, sample.d
-
-    T, M = _descent_plan(n, d, epsilon, delta, cfg)
-    if n < T * (M + 1):
-        raise SizeError(f"need n >= {T * (M + 1)} for T={T}, M={M}; got {n}")
-
-    fold_size = n // T
-    folds = Stream(child_seed(seed, 1)).permutation(T * fold_size).reshape(T, fold_size)
-
-    theta = np.empty(d)
-    fold1 = folds[0]
-    for j in range(d):
-        col_obs = sample.observed[fold1, j]
-        entries = sample.values[fold1[col_obs], j]
-        theta[j] = trimmed_mean(entries, epsilon, delta, child_seed(seed, 2, j)).value
-
-    block = fold_size // M
-    for rows in folds[1:, : M * block]:
-        obs = sample.observed[rows].reshape(M, block, d)
-        sums = (sample.values[rows].reshape(M, block, d) * obs).sum(axis=1)
-        cnt = obs.sum(axis=1)
-        theta = robust_block_descent(np.where(cnt > 0, sums / np.maximum(cnt, 1), theta))
-    return theta
 
 
 # largest d quarter_net builds a net for; scenario configs refuse a larger d

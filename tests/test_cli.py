@@ -264,8 +264,10 @@ class TestSimulateAndReport:
         [
             (b"mcar:gaussian,observed_mean,0,1,0,1,1,1,5,0.25,NA", "line 3: malformed row"),
             (b"mcar:gaussian,observed_mean,12,1,0,1,1,1,5,0.25\xff,NA", "not text"),
+            (b"mcar:gaussian,observed_mean,12,1,0,1,1,1,5,inf,NA", "line 3: malformed row"),
+            (b"mcar:gaussian,observed_mean,12,1,nan,1,1,1,5,0.25,NA", "line 3: malformed row"),
         ],
-        ids=["n_zero", "non_utf8"],
+        ids=["n_zero", "non_utf8", "inf_sq_error", "nan_epsilon"],
     )
     def test_report_rejects_a_bad_row_without_traceback(self, tmp_path, capsys, row, where):
         bad = tmp_path / "bad.csv"
@@ -274,12 +276,6 @@ class TestSimulateAndReport:
         assert main(["report", "--in", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith("config error:") and str(bad) in err and where in err
-
-    def test_iterative_descent_below_its_minimum_n_is_exit_one(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, estimators=["iterative_robust_descent"], grid={"n": [1000], "d": [2]})
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "grid.n = 1000" in err and "n >= 1723500" in err
 
     def test_report_out_of_range_delta_is_exit_one(self, tmp_path, capsys):
         results = tmp_path / "results.csv"

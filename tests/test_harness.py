@@ -267,14 +267,6 @@ class TestCompatibility:
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig.from_dict(cfg_dict(**patch))
 
-    def test_iterative_descent_needs_its_minimum_n(self):
-        # d = 2, epsilon = 0, delta = 0.1: T = 2 rounds of M = 861749 blocks
-        patch = {"estimators": ["iterative_robust_descent"], "grid": {"n": [1723499], "d": [2]}}
-        with pytest.raises(ConfigError, match=r"grid\.n = 1723499 .* needs n >= 1723500"):
-            ScenarioConfig.from_dict(cfg_dict(**patch))
-        patch["grid"]["n"] = [1723500]
-        assert ScenarioConfig.from_dict(cfg_dict(**patch)).grid["n"] == [1723500]
-
     @pytest.mark.parametrize(
         "patch, match",
         [
@@ -379,6 +371,21 @@ class TestRunScenario:
         assert serial == run_scenario(cfg, workers=2)
         assert serial == sorted(serial, key=ResultRecord.sort_key)
         assert len(serial) == 2 * 2 * 3
+
+    def test_an_overflowing_error_is_na_and_the_csv_reads_back(self, tmp_path):
+        # a point contaminant at 1e200 puts the mean near 3e199, whose square is inf
+        cfg = ScenarioConfig.from_dict(
+            cfg_dict(
+                model={"kind": "arbitrary", "contaminant": {"name": "point", "value": 1e200}},
+                grid={"n": [50], "epsilon": [0.3]},
+            )
+        )
+        with np.errstate(over="ignore"):
+            records = run_scenario(cfg)
+        assert [r.sq_error for r in records] == [None, None]
+        path = tmp_path / "r.csv"
+        write_records_csv(records, path)
+        assert read_records_csv(path) == records
 
     def test_ragged_chunks_write_the_serial_bytes(self, tmp_path):
         # 3 cells x 37 reps = 111 tasks on 2 workers: chunks of 111 // 16 = 6
@@ -644,13 +651,18 @@ class TestCsvIo:
         short.write_text(CSV_HEADER + "\ns,e,1,1,0,1,1,0,0,NA\n")
         with pytest.raises(ConfigError, match="malformed row"):
             read_records_csv(short)
-        # n and d below 1 (math.log(0) in rate_table) and NaN or negative sq_error
+        # n and d below 1 (math.log(0) in rate_table), a NaN, negative or infinite sq_error,
+        # and an epsilon, q or sigma outside its grid range (a NaN one splits its cell in rate_table)
         path = tmp_path / "rows.csv"
         for row in (
             "s,e,0,1,0,1,1,0,0,0.5,NA",
             "s,e,10,0,0,1,1,0,0,0.5,NA",
             "s,e,10,1,0,1,1,0,0,nan,NA",
             "s,e,10,1,0,1,1,0,0,-0.5,NA",
+            "s,e,10,1,0,1,1,0,0,inf,NA",
+            "s,e,10,1,nan,1,1,0,0,0.5,NA",
+            "s,e,10,1,0,0,1,0,0,0.5,NA",
+            "s,e,10,1,0,1,0,0,0,0.5,NA",
         ):
             path.write_text(f"{CSV_HEADER}\ns,e,10,1,0,1,1,0,0,0.25,NA\n{row}\n")
             with pytest.raises(ConfigError, match=re.escape(f"{path}: line 3: malformed row")):
@@ -723,6 +735,28 @@ _SWEEP_MODELS = {
 _SWEEP_POINTS = ((0.0, 0.7), (0.2, 0.7), (0.2, 1.0))
 
 
+def _sweep_config(variant: str, name: str, d: int, epsilon: float, q: float, reps: int = 2) -> dict:
+    model = dict(_SWEEP_MODELS[variant])
+    if model["kind"] == "regression":
+        model["theta0"] = [0.5, -1.0][:d]
+    grid = {"n": [200], "d": [d], "epsilon": [epsilon], "q": [q]}
+    return cfg_dict(model=model, estimators=[name], grid=grid, reps=reps)
+
+
+def test_every_estimator_loads_in_some_sweep_cell():
+    """A registered estimator that every sweep cell refuses is one no scenario reaches."""
+    loaded = set()
+    for variant, name, d, (epsilon, q) in product(sorted(_SWEEP_MODELS), harness.ESTIMATORS, (1, 2), _SWEEP_POINTS):
+        if name in loaded:
+            continue
+        try:
+            ScenarioConfig.from_dict(_sweep_config(variant, name, d, epsilon, q))
+        except ConfigError:
+            continue
+        loaded.add(name)
+    assert sorted(set(harness.ESTIMATORS) - loaded) == []
+
+
 @pytest.mark.parametrize("variant", sorted(_SWEEP_MODELS))
 def test_every_loaded_config_yields_a_finite_record(variant):
     """A config either is refused at load or gives a finite error in 3 reps.
@@ -734,17 +768,13 @@ def test_every_loaded_config_yields_a_finite_record(variant):
     """
     ran, all_na = 0, []
     for name, d, (epsilon, q) in product(harness.ESTIMATORS, (1, 2), _SWEEP_POINTS):
-        model = dict(_SWEEP_MODELS[variant])
-        if model["kind"] == "regression":
-            model["theta0"] = [0.5, -1.0][:d]
-        grid = {"n": [200], "d": [d], "epsilon": [epsilon], "q": [q]}
         try:
-            ScenarioConfig.from_dict(cfg_dict(model=model, estimators=[name], grid=grid))
+            ScenarioConfig.from_dict(_sweep_config(variant, name, d, epsilon, q))
         except ConfigError:
             continue
         ran += 1
         for reps in (1, 3):
-            cfg = ScenarioConfig.from_dict(cfg_dict(model=model, estimators=[name], grid=grid, reps=reps))
+            cfg = ScenarioConfig.from_dict(_sweep_config(variant, name, d, epsilon, q, reps))
             if any(rec.sq_error is not None for rec in run_scenario(cfg)):
                 break
         else:

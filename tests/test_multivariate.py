@@ -9,7 +9,6 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from missingrobust import (
-    DescentConfig,
     DimensionError,
     DomainError,
     EstimationError,
@@ -22,7 +21,6 @@ from missingrobust import (
     all_star_contaminant,
     as_block_means,
     child_seed,
-    iterative_robust_descent,
     mk_estimate,
     multivariate_mk,
     point_contaminant,
@@ -34,19 +32,7 @@ from missingrobust import (
     solve_sdp_approx,
 )
 from missingrobust import multivariate
-from oracles import chebyshev_fit_by_vertices, greedy_net_one_by_one
-
-
-class TestDescentConfig:
-    def test_defaults(self):
-        cfg = DescentConfig()
-        assert cfg.a2 == 300.0 and cfg.a3 == 180000.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            DescentConfig(a2=0.5)
-        with pytest.raises(DomainError):
-            DescentConfig(a3=0.0)
+from oracles import chebyshev_fit_by_vertices, greedy_net_one_by_one, iterative_robust_descent
 
 
 class TestBlockMeansAndNet:
@@ -155,19 +141,16 @@ class TestIterativeRobustDescent:
         # rounds; the block count is pinned by the a3 branch
         sample = ExtendedArray(np.zeros((100, 4)), np.ones((100, 4), dtype=bool))
         with pytest.raises(SizeError) as exc:
-            iterative_robust_descent(sample, 0.0, 0.5, seed=0)
+            iterative_robust_descent(sample, 0.0, 0.5, 300.0, 180000.0, seed=0)
         msg = str(exc.value)
         M = math.ceil(180000.0 * math.log(24.0))
         assert f"T=2, M={M}" in msg
         assert f"need n >= {2 * (M + 1)}" in msg
 
-    def small_cfg(self):
-        return DescentConfig(a2=1.0, a3=1.0)
-
     def test_constant_data_fixed_point(self):
         n = 1000
         sample = ExtendedArray(np.tile([3.0, -2.0], (n, 1)), np.ones((n, 2), dtype=bool))
-        out = iterative_robust_descent(sample, 0.0, 0.5, config=self.small_cfg(), seed=5)
+        out = iterative_robust_descent(sample, 0.0, 0.5, 1.0, 1.0, seed=5)
         assert np.allclose(out, [3.0, -2.0], atol=1e-12)
 
     def test_translation_equivariance_matched_seed(self):
@@ -178,21 +161,21 @@ class TestIterativeRobustDescent:
         shifted = ExtendedArray(
             np.where(s.observed, s.values + c, 0.0), s.observed.copy()
         )
-        a = iterative_robust_descent(s, 0.1, 0.5, config=self.small_cfg(), seed=13)
-        b = iterative_robust_descent(shifted, 0.1, 0.5, config=self.small_cfg(), seed=13)
+        a = iterative_robust_descent(s, 0.1, 0.5, 1.0, 1.0, seed=13)
+        b = iterative_robust_descent(shifted, 0.1, 0.5, 1.0, 1.0, seed=13)
         assert np.allclose(b, a + c, atol=1e-9)
 
     def test_recovers_mean_with_heterogeneous_missingness(self):
         g = Gaussian(np.array([1.0, -1.0, 0.5]), np.eye(3))
         pi = PatternDistribution.independent(3, [0.5, 0.8, 1.0])
         s = sample_mcar(g, pi, 20_000, seed=17)
-        out = iterative_robust_descent(s, 0.0, 0.1, config=self.small_cfg(), seed=19)
+        out = iterative_robust_descent(s, 0.0, 0.1, 1.0, 1.0, seed=19)
         assert np.linalg.norm(out - np.array([1.0, -1.0, 0.5])) < 0.15
 
     def test_validation(self):
         sample = ExtendedArray(np.zeros((10, 1)), np.ones((10, 1), dtype=bool))
         with pytest.raises(DomainError):
-            iterative_robust_descent(sample, 0.5, 0.5, config=self.small_cfg(), seed=0)
+            iterative_robust_descent(sample, 0.5, 0.5, 1.0, 1.0, seed=0)
 
     # float.hex of the estimate, taken from the per-block loop before the
     # block means were built by reshape.  A case is (d, contaminant, n,
@@ -220,7 +203,7 @@ class TestIterativeRobustDescent:
         cont = all_star_contaminant(d) if contaminant == "all_star" else point_contaminant(np.array([50.0, -50.0]))
         pi = PatternDistribution.independent(d, reveal)
         sample = sample_arbitrary(Gaussian(np.array(mean), np.eye(d)), epsilon, pi, cont, n, sample_seed)
-        out = iterative_robust_descent(sample, epsilon, delta, DescentConfig(a2=a2, a3=a3), seed=seed)
+        out = iterative_robust_descent(sample, epsilon, delta, a2, a3, seed=seed)
         assert [float(v).hex() for v in out] == want
 
 

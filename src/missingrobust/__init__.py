@@ -16,7 +16,7 @@ from .errors import (
     ModelError,
     SizeError,
 )
-from .extended import STAR, ExtendedArray, PatternDistribution
+from .extended import ExtendedArray, PatternDistribution
 from .harness import (
     ESTIMATORS,
     EstimatorContext,
@@ -49,7 +49,6 @@ from .models import (
     ThresholdAbove,
     ThresholdBelow,
     TwoPoint,
-    TwoPointPair,
     adversary_two_point,
     all_star_contaminant,
     point_contaminant,

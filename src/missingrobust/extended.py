@@ -1,14 +1,12 @@
 """Extended observation space: real coordinates plus a missing token.
 
 Every sample is an :class:`ExtendedArray`, a dense ``n x d`` value matrix
-paired with a boolean observation mask.  The token ``STAR`` names the
-missing point where a law on the extended line is written out atom by atom.
-Missingness is a tag (the mask), never a sentinel value in the data
-channel: NaN is rejected everywhere, so equality and ordering are total on
-observed values.  Masked payload entries are canonicalised to 0.0 and never
-read.  :class:`PatternDistribution` draws the revelation masks of the MCAR
-and arbitrary samplers; the arbitrary sampler's contaminant is a one-row
-:class:`ExtendedArray`.
+paired with a boolean observation mask.  Missingness is a tag (the mask),
+never a sentinel value in the data channel: NaN is rejected everywhere, so
+equality and ordering are total on observed values.  Masked payload entries
+are canonicalised to 0.0 and never read.  :class:`PatternDistribution`
+draws the revelation masks of the MCAR and arbitrary samplers; the
+arbitrary sampler's contaminant is a one-row :class:`ExtendedArray`.
 """
 
 from __future__ import annotations
@@ -18,24 +16,6 @@ import itertools
 import numpy as np
 
 from .errors import DimensionError, DomainError, SizeError
-
-
-class _MissingToken:
-    """Singleton tag for an unobserved coordinate."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "STAR"
-
-
-STAR = _MissingToken()
 
 
 class ExtendedArray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -242,7 +243,8 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # JSON reads a long digit string as an int past the float range, which no float check can take
+    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
 
 
 def _is_finite(x) -> bool:
@@ -257,7 +259,11 @@ def _is_finite_list(x) -> bool:
 _RANGES = {
     "epsilon": (lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
     "q": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
-    "sigma": (lambda v: v > 0.0, "a positive number"),
+    # the models and estimators use sigma**2, which must neither overflow nor underflow to 0
+    "sigma": (
+        lambda v: v > 0.0 and 0.0 < float(v) * float(v) < math.inf,
+        "a positive number whose square is finite and nonzero",
+    ),
     "delta": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
 }
 
@@ -492,7 +498,8 @@ class _CellModel:
 
     A non-regression cell draws from ``source``, the ``ContaminationSpec``
     or ``AdversaryLaw`` it built; ``sample`` looks its samplers up at each
-    call, so a wrapper set on their class after load sees every draw.
+    call, so a wrapper set on their class after load sees every draw.  Each
+    branch sets ``label``, the ``scenario`` value of the cell's records.
 
     Every model key is read through ``_model_value``, each branch (model
     kind, mechanism, contaminant) refuses the keys it does not read, and
@@ -528,17 +535,20 @@ class _CellModel:
                     else _independent_pattern(d, q)
                 )
                 self.source = ContaminationSpec("mcar", base, 0.0, pi)
+                self.label = "mcar:gaussian"
             elif kind == "realisable":
                 _only_keys(model, "model", "kind", "theta0", "mechanism")
-                mech = _build_mechanism(model.get("mechanism", {"name": "constant", "c": 1.0}))
+                mdict = model.get("mechanism", {"name": "constant", "c": 1.0})
+                mech = _build_mechanism(mdict)
                 self.source = ContaminationSpec("realisable", base, epsilon, q, mechanism=mech)
+                self.label = f"realisable:gaussian:{mdict['name']}"
             else:
                 _only_keys(model, "model", "kind", "theta0", "contaminant")
                 cont = _build_contaminant(model.get("contaminant", {"name": "all_star"}), d)
                 pi = _independent_pattern(d, q)
                 self.source = ContaminationSpec("arbitrary", base, epsilon, pi, contaminant=cont)
+                self.label = "arbitrary:gaussian:atoms"
             self.theta0 = np.atleast_1d(np.asarray(base.mean(), dtype=float))
-            self.label = self.source.label()
         elif kind in ("f1_adversary", "two_point"):
             _require(d == 1, f"model kind {kind!r} is univariate but grid.d = {d}")
             _require(epsilon > 0.0, f"model kind {kind!r} needs epsilon > 0, got {epsilon}")
@@ -552,9 +562,8 @@ class _CellModel:
             else:
                 _only_keys(model, "model", "kind", "r", "which")
                 r = _model_value(model, "model.r", 2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2")
-                pair = adversary_two_point(float(r), sigma, epsilon, q)
                 which = _model_value(model, "model.which", 1, lambda v: _is_int(v) and v in (1, 2), "1 or 2")
-                self.source, theta = (pair.spec1, pair.theta1) if which == 1 else (pair.spec2, pair.theta2)
+                self.source, theta = adversary_two_point(float(r), sigma, epsilon, q)[which - 1]
                 self.theta0 = np.array([theta])
                 self.label = f"two_point:{which}"
         else:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DimensionError, DomainError, SizeError
-from .extended import STAR, ExtendedArray, PatternDistribution
+from .extended import ExtendedArray, PatternDistribution
 from .rng import Stream, child_seed
 
 _ROLE_BASE = 1
@@ -74,7 +74,6 @@ class Gaussian:
             raise DomainError(f"sigma must be positive, got {sigma}")
         return Gaussian(np.array([float(theta)]), np.array([[float(sigma) ** 2]]))
 
-    name = "gaussian"
     is_continuous = True
 
     @property
@@ -112,7 +111,6 @@ class TwoPoint:
         if not 0.0 <= self.p_hi <= 1.0:
             raise DomainError(f"p_hi must lie in [0, 1], got {self.p_hi}")
 
-    name = "two_point"
     is_continuous = False
     dim = 1
 
@@ -121,10 +119,6 @@ class TwoPoint:
 
     def sample_values(self, stream: Stream, n: int) -> np.ndarray:
         return np.where(stream.uniforms(n) < self.p_hi, self.hi, self.lo)[:, None]
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < self.lo, 0.0, np.where(x < self.hi, 1.0 - self.p_hi, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +135,6 @@ class Constant:
         if not 0.0 <= self.c <= 1.0:
             raise DomainError(f"reveal probability must lie in [0, 1], got {self.c}")
 
-    name = "constant"
-
     def reveal_prob(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.c)
 
@@ -152,8 +144,6 @@ class ThresholdAbove:
     """Reveal exactly the values at or above t."""
 
     t: float
-
-    name = "threshold_above"
 
     def reveal_prob(self, x):
         return (np.asarray(x, dtype=float) >= self.t).astype(float)
@@ -165,8 +155,6 @@ class ThresholdBelow:
 
     t: float
 
-    name = "threshold_below"
-
     def reveal_prob(self, x):
         return (np.asarray(x, dtype=float) <= self.t).astype(float)
 
@@ -176,8 +164,6 @@ class TailsOnly:
     """Reveal exactly the values with |x| >= t."""
 
     t: float
-
-    name = "tails_only"
 
     def reveal_prob(self, x):
         return (np.abs(np.asarray(x, dtype=float)) >= self.t).astype(float)
@@ -204,8 +190,6 @@ class Custom:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "levels", levels)
 
-    name = "custom"
-
     def reveal_prob(self, x):
         idx = np.searchsorted(np.asarray(self.knots), np.asarray(x, dtype=float), side="left")
         return np.asarray(self.levels, dtype=float)[idx]
@@ -230,16 +214,11 @@ def point_contaminant(value) -> ExtendedArray:
 # samplers
 
 
-def _as_pattern(pi, d: int) -> PatternDistribution:
-    if isinstance(pi, PatternDistribution):
-        if pi.d != d:
-            raise DimensionError(f"pattern dimension {pi.d} != data dimension {d}")
-        return pi
-    q = float(pi)
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q}")
-    # scalar shorthand: Bernoulli reveal for d = 1, all-or-nothing for d > 1
-    return PatternDistribution.all_or_nothing(d, q)
+def _check_pattern(pi, d: int) -> None:
+    if not isinstance(pi, PatternDistribution):
+        raise DimensionError(f"reveal must be a PatternDistribution, got {pi!r}")
+    if pi.d != d:
+        raise DimensionError(f"pattern dimension {pi.d} != data dimension {d}")
 
 
 def sample_mcar(base, pi, n: int, seed: int) -> ExtendedArray:
@@ -249,7 +228,7 @@ def sample_mcar(base, pi, n: int, seed: int) -> ExtendedArray:
     """
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    pi = _as_pattern(pi, base.dim)
+    _check_pattern(pi, base.dim)
     x = base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n)
     masks = pi.sample_masks(Stream(child_seed(seed, _ROLE_MASK)), n)
     return ExtendedArray(x, masks)
@@ -318,8 +297,9 @@ def _mech_probs(mechanism, x: np.ndarray) -> np.ndarray:
 class ContaminationSpec:
     """Base distribution + contamination level + the contaminating law.
 
-    ``kind`` is one of "mcar", "realisable", "arbitrary".  ``reveal`` is a
-    scalar observation probability q in (0, 1] or a PatternDistribution; the
+    ``kind`` is one of "mcar", "realisable", "arbitrary".  ``reveal`` is the
+    realisable variant's scalar observation probability q in (0, 1] and the
+    other variants' PatternDistribution over ``base.dim`` coordinates; the
     MCAR sampler ignores ``epsilon``.  The realisable variant carries a
     reveal mechanism and no free contaminant; the arbitrary variant carries
     a one-row contaminant.
@@ -337,25 +317,17 @@ class ContaminationSpec:
             raise DomainError(f"unknown contamination kind {self.kind!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if not isinstance(self.reveal, PatternDistribution):
-            q = float(self.reveal)
-            if not 0.0 < q <= 1.0:
-                raise DomainError(f"q must lie in (0, 1], got {q}")
         if self.kind == "realisable":
+            if not 0.0 < float(self.reveal) <= 1.0:
+                raise DomainError(f"q must lie in (0, 1], got {self.reveal}")
             if self.mechanism is None:
                 raise DomainError("realisable contamination needs a mechanism")
             if self.contaminant is not None:
                 raise DomainError("realisable contamination admits no free contaminant")
+        else:
+            _check_pattern(self.reveal, self.base.dim)
         if self.kind == "arbitrary" and self.contaminant is None:
             raise DomainError("arbitrary contamination needs a contaminant")
-
-    def label(self) -> str:
-        bits = [self.kind, self.base.name]
-        if self.kind == "realisable":
-            bits.append(self.mechanism.name)
-        if self.kind == "arbitrary":
-            bits.append("atoms")
-        return ":".join(bits)
 
     def sample(self, n: int, seed: int) -> ExtendedArray:
         if self.kind == "mcar":
@@ -373,7 +345,7 @@ class ContaminationSpec:
 
 @dataclass(frozen=True)
 class AdversaryLaw:
-    """Piecewise-Gaussian observed-value density with mass left at STAR.
+    """Piecewise-Gaussian observed-value density with the remaining mass missing.
 
     The density equals the lower sandwich envelope q(1-eps) phi(.; theta, sigma)
     left of zero, swaps to the reflected bump between 0 and tau, and runs the
@@ -483,26 +455,13 @@ class AdversaryLaw:
         return ExtendedArray(values[:, None], observed[:, None])
 
 
-@dataclass(frozen=True)
-class TwoPointPair:
-    """Two two-atom bases whose realisable contaminations share one law.
+def adversary_two_point(r: float, sigma: float, epsilon: float, q: float) -> tuple:
+    """The indistinguishable two-atom pair at moment order r.
 
-    ``spec1`` and ``spec2`` are realisable contamination specs with distinct
-    means ``theta1 < theta2`` but a common observable three-atom law ``r0``
-    on {-b, b, STAR}; no estimator can tell them apart.
+    Returns ``((spec1, theta1), (spec2, theta2))``: realisable contamination
+    specs of two-atom bases on {-b, b} with means ``theta1 < theta2`` whose
+    observable laws coincide, so no estimator can tell them apart.
     """
-
-    a: float
-    b: float
-    spec1: ContaminationSpec
-    spec2: ContaminationSpec
-    theta1: float
-    theta2: float
-    r0: dict
-
-
-def adversary_two_point(r: float, sigma: float, epsilon: float, q: float) -> TwoPointPair:
-    """Construct the indistinguishable two-atom pair at moment order r."""
     if r < 2.0:
         raise DomainError(f"moment order r must be at least 2, got {r}")
     if sigma <= 0.0:
@@ -515,9 +474,7 @@ def adversary_two_point(r: float, sigma: float, epsilon: float, q: float) -> Two
     p2 = TwoPoint(lo=-b, hi=b, p_hi=1.0 / (a + 1.0))
     spec1 = ContaminationSpec("realisable", p1, epsilon, q, mechanism=ThresholdAbove(0.0))
     spec2 = ContaminationSpec("realisable", p2, epsilon, q, mechanism=ThresholdBelow(0.0))
-    atom = lo_mass / (a + 1.0)
-    r0 = {-b: atom, b: atom, STAR: 1.0 - 2.0 * atom}
-    return TwoPointPair(a=a, b=b, spec1=spec1, spec2=spec2, theta1=p1.mean(), theta2=p2.mean(), r0=r0)
+    return (spec1, p1.mean()), (spec2, p2.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +536,7 @@ def sample_regression(
 
 
 def write_dataset(path, sample: ExtendedArray, model: str, seed: int) -> None:
-    """TAB-separated dump, one row per observation, STAR encoded as NA."""
+    """TAB-separated dump, one row per observation, a missing cell written as NA."""
     with open(path, "w") as fh:
         fh.write(f"# d={sample.d} model={model} seed={int(seed)}\n")
         for i in range(sample.n):

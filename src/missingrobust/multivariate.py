@@ -37,8 +37,6 @@ _SDP_ITERS = 20
 
 def as_block_means(means) -> np.ndarray:
     B = np.asarray(means, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
     if B.ndim != 2:
         raise DimensionError("block means must form an (M, d) array")
     if not np.all(np.isfinite(B)):
@@ -133,8 +131,6 @@ def robust_descent(data, epsilon: float, delta: float, seed: int) -> np.ndarray:
     makes M = n, one row per block, for every n up to 124,767 at any delta.
     """
     X = np.asarray(data, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2:
         raise DimensionError("data must form an (n, d) array")
     n = X.shape[0]
@@ -155,8 +151,9 @@ def robust_descent(data, epsilon: float, delta: float, seed: int) -> np.ndarray:
 
 
 # largest d quarter_net builds a net for; scenario configs refuse a larger d
-# for min_kolmogorov_multi at load
-_NET_MAX_D = 8
+# for min_kolmogorov_multi at load.  On a 2-CPU machine the d = 4 net (871
+# points) takes about 80 s, and a d = 5 net did not finish in 10 minutes.
+_NET_MAX_D = 4
 # consecutive rejections that end the net's candidate loop
 _NET_REJECTIONS = 200_000
 

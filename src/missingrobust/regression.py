@@ -34,8 +34,6 @@ class RegressionFit:
 
 def _as_design(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2:
         raise DimensionError("design must form an (n, d) array")
     if not np.all(np.isfinite(X)):

@@ -135,7 +135,7 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     every theta: the distance at theta is the distance of the data shifted by
     -theta.  Coarse 512-point scan over the data range widened by 6 sigma
     (fallback [-6 sigma, 6 sigma] with no observations), golden-section
-    refinement to 1e-6 sigma, then a left-plateau search so ties resolve to
+    refinement to 1e-6 sigma (or a few ulps of theta, if wider), then a left-plateau search so ties resolve to
     the smallest minimizer.
 
     The scan is screened: the set-distance kernel on about 128 evenly spaced
@@ -198,12 +198,14 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     b = grid[min(best + 2, 511)]
     bracket = (float(a), float(b))
 
-    # golden-section to |theta error| <= 1e-6 sigma
+    # golden-section to |theta error| <= 1e-6 sigma, or to a bracket a few
+    # ulps wide when 1e-6 sigma is below the float spacing at theta (each
+    # pass then still moves an end, so the loop ends)
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > 1e-6 * sigma:
+    while b - a > max(1e-6 * sigma, 4.0 * math.ulp(max(abs(a), abs(b)))):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)

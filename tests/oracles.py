@@ -8,14 +8,17 @@ bit for bit, so it runs the package's exact batch kernel on every grid row;
 and ``iterative_robust_descent`` (see below) runs the package's
 ``trimmed_mean`` and ``robust_block_descent``.
 
-Two paper quantities serve only as references for the tests:
+Three paper quantities serve only as references for the tests:
 ``separation_profile``, the distance lower bound between the contamination
-sets of two means, and ``realisable_sandwich_check``, the empirical test of
-the realisable model's density sandwich.  The empirical law
-``EmpiricalDist``, the Gaussian density and quantile (``gaussian_pdf``,
-``gaussian_ppf``), the adversary law's density, STAR mass and observed mean,
-and the row-literal builder ``extended_from_rows`` are test references and
-fixtures too; they use only the public attributes of the package's objects.  ``adversary_sample_by_bisection`` is the bisection that
+sets of two means; ``realisable_sandwich_check``, the empirical test of the
+realisable model's density sandwich; and ``two_point_shared_law``, the
+three-atom law that both specs of ``adversary_two_point`` observe.  The
+missing token ``STAR``, the empirical law ``EmpiricalDist``, the Gaussian
+density and quantile (``gaussian_pdf``, ``gaussian_ppf``), the adversary
+law's density, STAR mass and observed mean, and the row-literal builder
+``extended_from_rows`` are test references and fixtures too; they use only
+the public attributes of the package's objects.
+``adversary_sample_by_bisection`` is the bisection that
 ``AdversaryLaw.sample``'s closed-form inversion replaced: it bisects
 ``law.cdf`` on the same role-1 uniforms, so the two routes share only the
 stream and the CDF.  ``sym_distance_by_all_crossings`` is the fourteen-piece
@@ -41,7 +44,6 @@ from scipy.optimize import linprog
 from scipy.special import ndtr, ndtri
 
 from missingrobust import (
-    STAR,
     ChainBounds,
     DomainError,
     EmpiricalSummary,
@@ -372,6 +374,26 @@ def adversary_sample_by_bisection(law, n: int, seed: int) -> ExtendedArray:
             hi = np.where(below, hi, mid)
         values[observed] = 0.5 * (lo + hi)
     return ExtendedArray(values[:, None], observed[:, None])
+
+
+class _Star:
+    """The missing point of the extended line, in row literals and laws written atom by atom."""
+
+    def __repr__(self) -> str:
+        return "STAR"
+
+
+STAR = _Star()
+
+
+def two_point_shared_law(r: float, sigma: float, epsilon: float, q: float) -> tuple:
+    """(a, b, r0) of ``adversary_two_point(r, sigma, epsilon, q)``: both specs of
+    the pair observe the three-atom law r0 on {-b, b, STAR}."""
+    lo_mass = q * (1.0 - epsilon)
+    a = lo_mass / (lo_mass + epsilon)
+    b = 0.5 * sigma * a ** (-1.0 / r)
+    atom = lo_mass / (a + 1.0)
+    return a, b, {-b: atom, b: atom, STAR: 1.0 - 2.0 * atom}
 
 
 def extended_from_rows(rows) -> ExtendedArray:

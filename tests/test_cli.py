@@ -1,6 +1,7 @@
 """Exit codes and output shapes for the four CLI subcommands."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -200,6 +201,9 @@ class TestEstimate:
             ("observed_mean", "--epsilon", "1"),
             ("observed_mean", "--q", "0"),
             ("min_kolmogorov", "--epsilon", "nan"),
+            ("min_kolmogorov", "--sigma", "1e308"),
+            ("min_kolmogorov", "--sigma", "1e-300"),
+            ("min_kolmogorov", "--sigma", "inf"),
         ],
     )
     def test_out_of_range_flag_is_exit_one(self, tmp_path, capsys, estimator, flag, value):
@@ -293,7 +297,16 @@ class TestSimulateAndReport:
 class TestProcessEntry:
     @pytest.mark.parametrize(
         "grid, key",
-        [({"n": [12], "epsilon": ["0.1"]}, "grid.epsilon"), ({"n": [True]}, "grid.n")],
+        [
+            ({"n": [12], "epsilon": ["0.1"]}, "grid.epsilon"),
+            ({"n": [True]}, "grid.n"),
+            # sigma**2 overflows, underflows to 0, or is not finite
+            ({"n": [12], "sigma": [1e308]}, "grid.sigma"),
+            ({"n": [12], "sigma": [1e-300]}, "grid.sigma"),
+            ({"n": [12], "sigma": [math.inf]}, "grid.sigma"),
+            # JSON reads 400 digits as an int past the float range
+            ({"n": [12], "sigma": [10**400]}, "grid.sigma"),
+        ],
     )
     def test_mistyped_grid_entry_is_exit_one_without_traceback(self, tmp_path, grid, key):
         cfg = write_config(tmp_path, grid=grid)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from missingrobust import (
-    STAR,
     DomainError,
     ExtendedArray,
     PatternDistribution,
@@ -15,7 +14,7 @@ from missingrobust import (
     child_seed,
     splitmix64,
 )
-from oracles import extended_from_rows
+from oracles import STAR, extended_from_rows
 
 
 class TestStream:
@@ -102,12 +101,6 @@ class TestChildSeed:
 
 
 class TestExtendedArray:
-    def test_star_token_is_singleton(self):
-        from missingrobust.extended import _MissingToken
-
-        assert _MissingToken() is STAR
-        assert repr(STAR) == "STAR"
-
     def test_round_trip_rows(self):
         arr = extended_from_rows([(1.0, STAR), (STAR, 2.0), (3.0, 4.0)])
         assert arr.n == 3 and arr.d == 2

@@ -117,12 +117,43 @@ class TestScenarioConfig:
             {"name": "threshold_below", "t": 0.5},
             {"name": "tails_only"},
             {"name": "custom", "knots": [-1.0, 1.0], "levels": [0.2, 1.0, 0.5]},
+            {"name": "constant", "c": 0.5},
+            {"name": "threshold_above"},
         ],
     )
     def test_mechanism_builds_its_cell(self, mechanism):
         model = {"kind": "realisable", "mechanism": mechanism}
         cfg = ScenarioConfig.from_dict(cfg_dict(model=model, grid={"n": [10], "epsilon": [0.1]}))
         assert cfg.cell_models[0].label == f"realisable:gaussian:{mechanism['name']}"
+
+    @pytest.mark.parametrize(
+        "model, label",
+        [
+            ({"kind": "mcar"}, "mcar:gaussian"),
+            ({"kind": "mcar", "pattern": "all_or_nothing"}, "mcar:gaussian"),
+            ({"kind": "realisable"}, "realisable:gaussian:constant"),
+            ({"kind": "arbitrary"}, "arbitrary:gaussian:atoms"),
+            ({"kind": "arbitrary", "contaminant": {"name": "point", "value": 3.0}}, "arbitrary:gaussian:atoms"),
+            ({"kind": "f1_adversary", "a": 1.0}, "f1_adversary:f1"),
+            ({"kind": "f1_adversary", "a": 1.0, "law": "f2"}, "f1_adversary:f2"),
+            ({"kind": "two_point"}, "two_point:1"),
+            ({"kind": "two_point", "which": 2}, "two_point:2"),
+            ({"kind": "regression", "theta0": [0.5]}, "regression:intercept_gaussian"),
+            ({"kind": "regression", "theta0": [0.5], "design": "gaussian"}, "regression:gaussian"),
+        ],
+    )
+    def test_every_model_variant_labels_its_records(self, model, label):
+        regression = model["kind"] == "regression"
+        cfg = ScenarioConfig.from_dict(
+            cfg_dict(
+                model=model,
+                estimators=["ols_observed" if regression else "observed_mean"],
+                grid={"n": [10], "epsilon": [0.0 if model["kind"] == "mcar" else 0.1]},
+                reps=1,
+            )
+        )
+        assert cfg.cell_models[0].label == label
+        assert {rec.scenario for rec in run_scenario(cfg)} == {label}
 
     @pytest.mark.parametrize(
         "model, match",
@@ -281,8 +312,8 @@ class TestCompatibility:
             ),
             (
                 {"model": {"kind": "mcar", "pattern": "all_or_nothing"},
-                 "estimators": ["min_kolmogorov_multi"], "grid": {"n": [10], "d": [9]}},
-                r"grid\.d = 9 is too large for estimator 'min_kolmogorov_multi'.*capped at d = 8",
+                 "estimators": ["min_kolmogorov_multi"], "grid": {"n": [10], "d": [5]}},
+                r"grid\.d = 5 is too large for estimator 'min_kolmogorov_multi'.*capped at d = 4",
             ),
             (
                 {"model": {"kind": "realisable"}, "estimators": ["complete_case_mean", "min_kolmogorov_multi"],
@@ -297,8 +328,8 @@ class TestCompatibility:
 
     def test_multi_mk_net_cap_is_inclusive(self):
         patch = {"model": {"kind": "realisable"}, "estimators": ["min_kolmogorov_multi"],
-                 "grid": {"n": [10], "d": [8], "epsilon": [0.1]}}
-        assert ScenarioConfig.from_dict(cfg_dict(**patch)).grid["d"] == [8]
+                 "grid": {"n": [10], "d": [4], "epsilon": [0.1]}}
+        assert ScenarioConfig.from_dict(cfg_dict(**patch)).grid["d"] == [4]
 
     def test_multi_mk_allowed_with_all_or_nothing(self):
         cfg = ScenarioConfig.from_dict(

@@ -9,7 +9,6 @@ import pytest
 from scipy.stats import kstest, norm
 
 from missingrobust import (
-    STAR,
     AdversaryLaw,
     Constant,
     ContaminationSpec,
@@ -34,6 +33,7 @@ from missingrobust import (
     write_dataset,
 )
 from oracles import (
+    STAR,
     adversary_density,
     adversary_observed_mean,
     adversary_sample_by_bisection,
@@ -44,6 +44,7 @@ from oracles import (
     quad_density_moment,
     quad_observed_mean,
     realisable_sandwich_check,
+    two_point_shared_law,
 )
 
 
@@ -95,20 +96,20 @@ class TestBaseLaws:
     def test_two_point_mean_and_cdf(self):
         p = TwoPoint(lo=-1.0, hi=3.0, p_hi=0.25)
         assert p.mean() == pytest.approx(0.0)
-        assert p.cdf(-1.0) == pytest.approx(0.75)
-        assert p.cdf(2.9) == pytest.approx(0.75)
-        assert p.cdf(3.0) == pytest.approx(1.0)
+        x = p.sample_values(Stream(7), 100_000)[:, 0]
+        assert set(np.unique(x)) == {-1.0, 3.0}
+        assert np.mean(x <= 2.9) == pytest.approx(0.75, abs=0.01)
 
 
 class TestMcarSampler:
     def test_deterministic(self):
-        g = Gaussian.univariate(0.0, 1.0)
-        assert sample_mcar(g, 0.7, 100, seed=5) == sample_mcar(g, 0.7, 100, seed=5)
-        assert sample_mcar(g, 0.7, 100, seed=5) != sample_mcar(g, 0.7, 100, seed=6)
+        g, pi = Gaussian.univariate(0.0, 1.0), PatternDistribution.all_or_nothing(1, 0.7)
+        assert sample_mcar(g, pi, 100, seed=5) == sample_mcar(g, pi, 100, seed=5)
+        assert sample_mcar(g, pi, 100, seed=5) != sample_mcar(g, pi, 100, seed=6)
 
     def test_reveal_frequency_and_base_moments(self):
         g = Gaussian.univariate(1.0, 2.0)
-        s = sample_mcar(g, 0.6, 200_000, seed=1)
+        s = sample_mcar(g, PatternDistribution.all_or_nothing(1, 0.6), 200_000, seed=1)
         vals, obs = s.univariate()
         assert obs.mean() == pytest.approx(0.6, abs=0.01)
         # masking is independent of the values, so the observed slice keeps
@@ -124,14 +125,14 @@ class TestMcarSampler:
 
     def test_negative_n_rejected(self):
         with pytest.raises(DomainError):
-            sample_mcar(Gaussian.univariate(0.0, 1.0), 0.5, -1, seed=0)
+            sample_mcar(Gaussian.univariate(0.0, 1.0), PatternDistribution.all_or_nothing(1, 0.5), -1, seed=0)
 
 
 class TestRealisableSampler:
     def test_zero_epsilon_replays_mcar_exactly(self):
         g = Gaussian.univariate(0.0, 1.0)
         a = sample_realisable(g, 0.0, 0.7, ThresholdAbove(0.0), 5000, seed=9)
-        b = sample_mcar(g, 0.7, 5000, seed=9)
+        b = sample_mcar(g, PatternDistribution.all_or_nothing(1, 0.7), 5000, seed=9)
         assert a == b
 
     def test_sandwich_holds_for_every_mechanism(self):
@@ -176,26 +177,40 @@ class TestRealisableSampler:
 class TestArbitrarySampler:
     def test_zero_epsilon_replays_mcar_exactly(self):
         g = Gaussian.univariate(0.0, 1.0)
-        a = sample_arbitrary(g, 0.0, 0.7, all_star_contaminant(1), 5000, seed=21)
-        b = sample_mcar(g, 0.7, 5000, seed=21)
+        pi = PatternDistribution.all_or_nothing(1, 0.7)
+        a = sample_arbitrary(g, 0.0, pi, all_star_contaminant(1), 5000, seed=21)
+        b = sample_mcar(g, pi, 5000, seed=21)
         assert a == b
 
     def test_all_star_contaminant_thins_observations(self):
         g = Gaussian.univariate(0.0, 1.0)
-        s = sample_arbitrary(g, 0.25, 0.8, all_star_contaminant(1), 200_000, seed=22)
+        pi = PatternDistribution.all_or_nothing(1, 0.8)
+        s = sample_arbitrary(g, 0.25, pi, all_star_contaminant(1), 200_000, seed=22)
         _, obs = s.univariate()
         assert obs.mean() == pytest.approx(0.75 * 0.8, abs=0.01)
 
     def test_point_contaminant_injects_atom(self):
         g = Gaussian.univariate(0.0, 1.0)
-        s = sample_arbitrary(g, 0.25, 1.0, point_contaminant(50.0), 200_000, seed=23)
+        pi = PatternDistribution.all_or_nothing(1, 1.0)
+        s = sample_arbitrary(g, 0.25, pi, point_contaminant(50.0), 200_000, seed=23)
         vals, obs = s.univariate()
         assert np.mean(vals[obs] == 50.0) == pytest.approx(0.25, abs=0.01)
 
     def test_dimension_mismatch_rejected(self):
-        g = Gaussian(np.zeros(2), np.eye(2))
+        g1, g2 = Gaussian.univariate(0.0, 1.0), Gaussian(np.zeros(2), np.eye(2))
         with pytest.raises(DimensionError):
-            sample_arbitrary(g, 0.1, 0.5, point_contaminant(1.0), 10, seed=0)
+            sample_arbitrary(g2, 0.1, PatternDistribution.all_or_nothing(2, 0.5), point_contaminant(1.0), 10, seed=0)
+        with pytest.raises(DimensionError):
+            sample_mcar(g2, PatternDistribution.all_or_nothing(1, 0.5), 10, seed=0)
+        # a float reveal: only the realisable sampler takes a scalar q
+        with pytest.raises(DimensionError):
+            sample_mcar(g1, 0.5, 10, seed=0)
+        with pytest.raises(DimensionError):
+            sample_arbitrary(g1, 0.1, 0.5, all_star_contaminant(1), 10, seed=0)
+        with pytest.raises(DimensionError):
+            ContaminationSpec("mcar", g1, 0.0, 0.5)
+        with pytest.raises(DimensionError):
+            ContaminationSpec("arbitrary", g1, 0.1, 0.5, contaminant=all_star_contaminant(1))
 
 
 class TestAdversaryLaw:
@@ -309,33 +324,35 @@ class TestAdversaryLaw:
 
 class TestTwoPointPair:
     def test_construction_identities(self):
-        pair = adversary_two_point(2.0, 1.0, 0.3, 0.8)
+        (spec1, theta1), (spec2, theta2) = adversary_two_point(2.0, 1.0, 0.3, 0.8)
+        a, b, r0 = two_point_shared_law(2.0, 1.0, 0.3, 0.8)
         lo_mass = 0.8 * 0.7
-        assert pair.a == pytest.approx(lo_mass / (lo_mass + 0.3))
-        assert pair.b == pytest.approx(0.5 * pair.a ** (-0.5))
-        assert pair.theta2 - pair.theta1 > 0
-        assert sum(pair.r0.values()) == pytest.approx(1.0)
+        assert a == pytest.approx(lo_mass / (lo_mass + 0.3))
+        assert b == pytest.approx(0.5 * a ** (-0.5))
+        for spec in (spec1, spec2):
+            assert (spec.base.lo, spec.base.hi) == (-b, b)
+        assert theta2 - theta1 > 0
+        assert sum(r0.values()) == pytest.approx(1.0)
 
     def test_bases_have_bounded_central_moment(self):
         for r in (2.0, 4.0):
-            pair = adversary_two_point(r, 1.5, 0.3, 0.8)
-            for spec, theta in ((pair.spec1, pair.theta1), (pair.spec2, pair.theta2)):
+            for spec, theta in adversary_two_point(r, 1.5, 0.3, 0.8):
                 p = spec.base
                 m = (1 - p.p_hi) * abs(p.lo - theta) ** r + p.p_hi * abs(p.hi - theta) ** r
                 assert m <= 1.5**r + 1e-12
 
     def test_both_specs_induce_the_shared_law(self):
-        pair = adversary_two_point(2.0, 1.0, 0.3, 0.8)
+        _, b, r0 = two_point_shared_law(2.0, 1.0, 0.3, 0.8)
         n = 200_000
-        for spec in (pair.spec1, pair.spec2):
+        for spec, _ in adversary_two_point(2.0, 1.0, 0.3, 0.8):
             s = spec.sample(n, seed=41)
             vals, obs = s.univariate()
             freq_star = 1.0 - obs.mean()
-            freq_lo = np.mean(vals[obs] == -pair.b)
-            freq_hi = np.mean(vals[obs] == pair.b)
-            assert freq_star == pytest.approx(pair.r0[STAR], abs=0.01)
-            assert freq_lo * obs.mean() == pytest.approx(pair.r0[-pair.b], abs=0.01)
-            assert freq_hi * obs.mean() == pytest.approx(pair.r0[pair.b], abs=0.01)
+            freq_lo = np.mean(vals[obs] == -b)
+            freq_hi = np.mean(vals[obs] == b)
+            assert freq_star == pytest.approx(r0[STAR], abs=0.01)
+            assert freq_lo * obs.mean() == pytest.approx(r0[-b], abs=0.01)
+            assert freq_hi * obs.mean() == pytest.approx(r0[b], abs=0.01)
 
     def test_moment_order_validated(self):
         with pytest.raises(DomainError):
@@ -399,13 +416,13 @@ class TestRegressionSampler:
 class TestSandwichCheck:
     def test_clean_mcar_passes(self):
         g = Gaussian.univariate(0.0, 1.0)
-        s = sample_mcar(g, 0.8, 100_000, seed=51)
+        s = sample_mcar(g, PatternDistribution.all_or_nothing(1, 0.8), 100_000, seed=51)
         ok, worst = realisable_sandwich_check(s, g, 0.0, 0.8)
         assert ok and worst <= 0.0
 
     def test_shifted_sample_fails(self):
         g = Gaussian.univariate(0.0, 1.0)
-        s = sample_mcar(Gaussian.univariate(2.0, 1.0), 0.8, 100_000, seed=52)
+        s = sample_mcar(Gaussian.univariate(2.0, 1.0), PatternDistribution.all_or_nothing(1, 0.8), 100_000, 52)
         ok, worst = realisable_sandwich_check(s, g, 0.1, 0.8)
         assert not ok and worst > 0.0
 
@@ -416,18 +433,11 @@ _G3 = Gaussian(np.array([0.0, 1.0, -1.0]), np.eye(3))
 
 
 class TestContaminationSpec:
-    def test_labels(self):
-        g = Gaussian.univariate(0.0, 1.0)
-        spec = ContaminationSpec("realisable", g, 0.3, 0.8, mechanism=ThresholdAbove(0.0))
-        assert spec.label() == "realisable:gaussian:threshold_above"
-        spec2 = ContaminationSpec("mcar", g, 0.0, 0.8)
-        assert spec2.label() == "mcar:gaussian"
-
     def test_sample_dispatch(self):
-        g = Gaussian.univariate(0.0, 1.0)
-        spec = ContaminationSpec("arbitrary", g, 0.2, 0.9, contaminant=point_contaminant(9.0))
+        g, pi = Gaussian.univariate(0.0, 1.0), PatternDistribution.all_or_nothing(1, 0.9)
+        spec = ContaminationSpec("arbitrary", g, 0.2, pi, contaminant=point_contaminant(9.0))
         s = spec.sample(50_000, seed=61)
-        want = sample_arbitrary(g, 0.2, 0.9, point_contaminant(9.0), 50_000, seed=61)
+        want = sample_arbitrary(g, 0.2, pi, point_contaminant(9.0), 50_000, seed=61)
         assert s == want
 
     # sha256 of values.tobytes() and observed.tobytes().  No benchmark workload
@@ -463,7 +473,11 @@ class TestContaminationSpec:
             ),
             pytest.param(
                 lambda: ContaminationSpec(
-                    "arbitrary", _G1, 0.2, 0.7, contaminant=point_contaminant(9.0)
+                    "arbitrary",
+                    _G1,
+                    0.2,
+                    PatternDistribution.all_or_nothing(1, 0.7),
+                    contaminant=point_contaminant(9.0),
                 ).sample(200, 14),
                 "a05d6a682283edbf33bac22da8a17ff5906c925e3eda8c9e856fa13ad9d64e6c",
                 "2702254d41562037083e77d11ad7eb246a692807f4e579cf4d2f17a71d99cd01",
@@ -482,7 +496,7 @@ class TestContaminationSpec:
                 id="arbitrary_d2_all_star",
             ),
             pytest.param(
-                lambda: adversary_two_point(3.0, 1.0, 0.2, 0.8).spec2.sample(200, 16),
+                lambda: adversary_two_point(3.0, 1.0, 0.2, 0.8)[1][0].sample(200, 16),
                 "c959a8d606195a33c2cfcf4a573a11fc2884e8572dc71f233040a382555c94b6",
                 "7ec807b855fa16e24567090e01af74e3bca6c2691cf6c245a0ea38eb71fb0d74",
                 id="two_point_which_2",

@@ -36,17 +36,16 @@ from oracles import chebyshev_fit_by_vertices, greedy_net_one_by_one, iterative_
 
 
 class TestBlockMeansAndNet:
-    def test_one_dimensional_input_becomes_column(self):
-        B = as_block_means([1.0, 2.0, 3.0])
-        assert B.shape == (3, 1)
-
     def test_two_dimensional_passthrough(self):
         B = as_block_means(np.arange(6.0).reshape(3, 2))
         assert B.shape == (3, 2)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            as_block_means([1.0, np.inf])
+            as_block_means([[1.0], [np.inf]])
+        # a flat vector is not read as one column
+        with pytest.raises(DimensionError):
+            as_block_means([1.0, 2.0, 3.0])
 
 
 class TestSolveSdp:
@@ -133,6 +132,8 @@ class TestRobustDescent:
             robust_descent(np.array([[np.nan]]), 0.1, 0.5, seed=0)
         with pytest.raises(DomainError):
             robust_descent(np.ones((4, 1)), 1.0, 0.5, seed=0)
+        with pytest.raises(DimensionError):
+            robust_descent(np.ones(4), 0.1, 0.5, seed=0)
 
 
 class TestIterativeRobustDescent:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from missingrobust import (
+    DimensionError,
     DomainError,
     EmpiricalSummary,
     EstimationError,
@@ -97,6 +98,12 @@ class TestKsRegression:
         Z = ExtendedArray(np.zeros((50, 1)), np.zeros((50, 1), dtype=bool))
         with pytest.raises(EstimationError):
             ks_regression_estimate(X, Z, 1.0, 0.1, 0.5)
+
+    def test_flat_design_rejected(self):
+        X = make_design(50, 1, 1)
+        Z = sample_regression(X, np.array([1.0]), 1.0, 0.0, 1.0, 1.0, seed=3)
+        with pytest.raises(DimensionError):
+            ks_regression_estimate(X[:, 0], Z, 1.0, 0.0, 1.0)
 
     def test_rank_deficient_design_falls_back(self):
         n = 200

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from missingrobust import (
-    STAR,
     AdversaryLaw,
+    Constant,
     DomainError,
     EmpiricalSummary,
     EstimationError,
     ExtendedArray,
     Gaussian,
+    PatternDistribution,
     RealisableSetSpec,
     SizeError,
     Stream,
@@ -24,9 +25,11 @@ from missingrobust import (
     observed_mean,
     order_median,
     sample_mcar,
+    sample_realisable,
     trimmed_mean,
 )
 from oracles import (
+    STAR,
     adversary_observed_mean,
     adversary_sample_by_bisection,
     extended_from_rows,
@@ -76,7 +79,8 @@ PINNED = {
 def pinned_cases():
     law = AdversaryLaw("f1", 1.0, 1.0, 0.3, 1.0)
     yield "adversary_n1e4", adversary_sample_by_bisection(law, 10_000, seed=37), 0.3, 1.0, 1.0
-    yield "clean_gaussian", sample_mcar(Gaussian.univariate(2.0, 1.0), 1.0, 1000, seed=13), 0.0, 1.0, 1.0
+    clean = sample_mcar(Gaussian.univariate(2.0, 1.0), PatternDistribution.all_or_nothing(1, 1.0), 1000, seed=13)
+    yield "clean_gaussian", clean, 0.0, 1.0, 1.0
     s = Stream(41)
     bimodal = np.concatenate([s.normals(300) - 3.0, s.normals(300) + 3.0])
     yield "bimodal", EmpiricalSummary(bimodal, 700), 0.2, 0.8, 1.0
@@ -223,13 +227,13 @@ class TestTrimmedMean:
 class TestMkEstimate:
     def test_clean_gaussian_recovery(self):
         g = Gaussian.univariate(2.0, 1.0)
-        s = sample_mcar(g, 1.0, 10_000, seed=13)
+        s = sample_mcar(g, PatternDistribution.all_or_nothing(1, 1.0), 10_000, seed=13)
         est = mk_estimate(s, 0.0, 1.0, 1.0)
         assert abs(est.value - 2.0) <= 0.1
 
     def test_translation_equivariance(self):
         g = Gaussian.univariate(0.0, 1.0)
-        s = sample_mcar(g, 0.8, 500, seed=17)
+        s = sample_mcar(g, PatternDistribution.all_or_nothing(1, 0.8), 500, seed=17)
         base = mk_estimate(s, 0.2, 0.8, 1.0).value
         shifted = ExtendedArray(s.values + 4.0, s.observed.copy())
         assert mk_estimate(shifted, 0.2, 0.8, 1.0).value == pytest.approx(
@@ -238,7 +242,7 @@ class TestMkEstimate:
 
     def test_scale_equivariance(self):
         g = Gaussian.univariate(1.0, 1.0)
-        s = sample_mcar(g, 0.9, 400, seed=19)
+        s = sample_mcar(g, PatternDistribution.all_or_nothing(1, 0.9), 400, seed=19)
         base = mk_estimate(s, 0.1, 0.9, 1.0).value
         scaled = ExtendedArray(2.5 * s.values, s.observed.copy())
         assert mk_estimate(scaled, 0.1, 0.9, 2.5).value == pytest.approx(
@@ -247,7 +251,7 @@ class TestMkEstimate:
 
     def test_probe_audit_local_optimality(self):
         g = Gaussian.univariate(0.0, 1.0)
-        s = sample_mcar(g, 0.7, 300, seed=23)
+        s = sample_mcar(g, PatternDistribution.all_or_nothing(1, 0.7), 300, seed=23)
         eps, q, sigma = 0.25, 0.7, 1.0
         est = mk_estimate(s, eps, q, sigma)
         vals, obs = s.values[:, 0], s.observed[:, 0]
@@ -288,6 +292,15 @@ class TestMkEstimate:
     def test_sigma_validation(self):
         with pytest.raises(DomainError):
             mk_estimate(uni([1.0]), 0.1, 1.0, 0.0)
+
+    def test_sigma_below_the_float_spacing_at_theta_ends(self):
+        # 1e-6 sigma = 1e-17 is below the spacing of floats near 1.0, so the
+        # golden section stops on a bracket a few ulps wide instead
+        sigma = 1e-11
+        s = sample_realisable(Gaussian.univariate(1.0, sigma), 0.1, 0.8, Constant(1.0), 500, seed=3)
+        est = mk_estimate(s, 0.1, 0.8, sigma)
+        assert abs(est.value - 1.0) <= sigma
+        assert est.meta["objective_evals"] < 200
 
     def test_tie_plateau_reaching_the_left_scan_edge_returns_the_edge(self):
         # one observed value in ten rows at q(1 - eps) = 0.01: the distance is

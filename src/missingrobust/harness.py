@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -36,6 +35,9 @@ from .errors import (
     DomainError,
     EstimationError,
     SizeError,
+    _is_int,
+    _is_number,
+    check_param,
 )
 from .extended import ExtendedArray, PatternDistribution
 from .models import (
@@ -237,16 +239,6 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, which subclasses int
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    # JSON reads a long digit string as an int past the float range, which no float check can take
-    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
-
-
 def _is_finite(x) -> bool:
     return _is_number(x) and math.isfinite(x)
 
@@ -255,23 +247,12 @@ def _is_finite_list(x) -> bool:
     return isinstance(x, list) and all(_is_finite(v) for v in x)
 
 
-# ranges shared by the scenario grid and delta and the CLI flags of the same names
-_RANGES = {
-    "epsilon": (lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
-    "q": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
-    # the models and estimators use sigma**2, which must neither overflow nor underflow to 0
-    "sigma": (
-        lambda v: v > 0.0 and 0.0 < float(v) * float(v) < math.inf,
-        "a positive number whose square is finite and nonzero",
-    ),
-    "delta": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
-}
-
-
 def _check_range(key: str, value, where: str) -> None:
-    """``ConfigError`` naming ``where`` unless ``value`` lies in the range of ``key``."""
-    ok, want = _RANGES[key]
-    _require(_is_number(value) and ok(value), f"{where}: expected {want}, got {value!r}")
+    """The library's ``check_param``, with a ``ConfigError`` naming ``where``, a config key or CLI flag."""
+    try:
+        check_param(key, value)
+    except DomainError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _model_value(section: dict, path: str, default, ok, want: str):
@@ -286,6 +267,12 @@ def _model_value(section: dict, path: str, default, ok, want: str):
     value = section.get(key, default)
     _require(ok(value), f"{path} must be {want}, got {value!r}")
     return value
+
+
+def _section_name(section, path: str) -> str:
+    """The ``name`` of the model section at dotted ``path``, which must be a string."""
+    _require(isinstance(section, dict), f"{path} must be an object with a 'name'")
+    return _model_value(section, f"{path}.name", None, lambda v: isinstance(v, str), "a string")
 
 
 def _only_keys(section: dict, path: str, tag: str, *keys: str) -> None:
@@ -433,8 +420,7 @@ _THRESHOLD_MECHANISMS = {
 
 
 def _build_mechanism(mdict) -> object:
-    _require(isinstance(mdict, dict) and "name" in mdict, "mechanism must be an object with a 'name'")
-    name = mdict["name"]
+    name = _section_name(mdict, "model.mechanism")
     if name == "constant":
         _only_keys(mdict, "model.mechanism", "name", "c")
         return Constant(float(_model_value(mdict, "model.mechanism.c", 1.0, _probability, "a number in [0, 1]")))
@@ -463,8 +449,7 @@ def _build_mechanism(mdict) -> object:
 
 
 def _build_contaminant(cdict, d: int) -> object:
-    _require(isinstance(cdict, dict) and "name" in cdict, "contaminant must be an object with a 'name'")
-    name = cdict["name"]
+    name = _section_name(cdict, "model.contaminant")
     if name == "all_star":
         _only_keys(cdict, "model.contaminant", "name")
         return all_star_contaminant(d)
@@ -579,16 +564,16 @@ class _CellModel:
                 "'gaussian' or 'intercept_gaussian'",
             )
             m2 = model.get("mechanism2", {"name": "constant", "c": 1.0})
-            _require(isinstance(m2, dict) and "name" in m2, "mechanism2 must be an object with a 'name'")
-            if m2["name"] == "constant":
+            m2_name = _section_name(m2, "model.mechanism2")
+            if m2_name == "constant":
                 _only_keys(m2, "model.mechanism2", "name", "c")
                 c = _model_value(m2, "model.mechanism2.c", 1.0, _probability, "a number in [0, 1]")
                 self.mechanism2 = float(c)
-            elif m2["name"] == "residual_above":
+            elif m2_name == "residual_above":
                 _only_keys(m2, "model.mechanism2", "name")
                 self.mechanism2 = partial(_residual_above, self.theta0)
             else:
-                raise ConfigError(f"unknown mechanism2 {m2['name']!r}")
+                raise ConfigError(f"unknown mechanism2 {m2_name!r}")
             self.label = f"regression:{self.design}"
 
     def sample(self, seed: int) -> ExtendedArray:
@@ -687,8 +672,7 @@ def empirical_quantile(errors, delta: float) -> float:
     v = np.sort(np.asarray(errors, dtype=float).reshape(-1))
     if len(v) == 0:
         raise SizeError("no errors to summarise")
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    check_param("delta", delta)
     rank = max(1, math.ceil((1.0 - delta) * len(v)))
     return float(v[rank - 1])
 
@@ -761,8 +745,8 @@ _COLUMN_PARSERS = tuple(_PARSERS[f.type] for f in fields(ResultRecord))
 
 def read_records_csv(path) -> list[ResultRecord]:
     """Records of a results CSV; a row is malformed if a field does not parse, n or d is
-    below 1, sq_error is neither NA nor finite and >= 0, or epsilon, q or sigma is out of
-    its grid range."""
+    below 1, sq_error is neither NA nor finite and >= 0, or epsilon, q or sigma is outside
+    its domain."""
     records = []
     try:
         with open(path) as fh:
@@ -778,7 +762,7 @@ def read_records_csv(path) -> list[ResultRecord]:
                     if rec.n < 1 or rec.d < 1 or not (rec.sq_error is None or 0.0 <= rec.sq_error < math.inf):
                         raise ValueError("need n >= 1, d >= 1 and sq_error NA or finite and >= 0")
                     for key in ("epsilon", "q", "sigma"):
-                        _check_range(key, getattr(rec, key), key)
+                        check_param(key, getattr(rec, key))
                 except ValueError as e:
                     raise ConfigError(f"{path}: line {lineno}: malformed row {line!r} ({e})") from None
                 records.append(rec)

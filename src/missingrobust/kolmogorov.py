@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, check_param
 from .extended import ExtendedArray
 
 __all__ = [
@@ -83,10 +83,8 @@ class RealisableSetSpec:
             raise DomainError("realisable set geometry requires a continuous base")
         if getattr(self.base, "dim", 1) != 1:
             raise DomainError("realisable set geometry is univariate")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if not 0.0 < self.q <= 1.0:
-            raise DomainError(f"q must lie in (0, 1], got {self.q}")
+        check_param("epsilon", self.epsilon)
+        check_param("q", self.q)
 
     @property
     def lo_mass(self) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DimensionError, DomainError, SizeError
+from .errors import DimensionError, DomainError, SizeError, check_param
 from .extended import ExtendedArray, PatternDistribution
 from .rng import Stream, child_seed
 
@@ -70,8 +70,7 @@ class Gaussian:
 
     @staticmethod
     def univariate(theta: float, sigma: float) -> "Gaussian":
-        if sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {sigma}")
+        check_param("sigma", sigma)
         return Gaussian(np.array([float(theta)]), np.array([[float(sigma) ** 2]]))
 
     is_continuous = True
@@ -246,7 +245,8 @@ def sample_realisable(base, epsilon: float, q: float, mechanism, n: int, seed: i
     Consumes n * d uniforms on role 1 and n on each of roles 2 (reveal) and
     3 (flags).
     """
-    _validate_eps_q(epsilon, q)
+    check_param("epsilon", epsilon)
+    check_param("q", q)
     x = base.sample_values(Stream(child_seed(seed, _ROLE_BASE)), n)
     u_reveal = Stream(child_seed(seed, _ROLE_MASK)).uniforms(n)
     w = Stream(child_seed(seed, _ROLE_FLAG)).bernoulli(epsilon, n)
@@ -263,8 +263,7 @@ def sample_arbitrary(base, epsilon: float, pi, contaminant, n: int, seed: int) -
     Consumes the draws of sample_mcar(base, pi, n, seed) and n uniforms on
     role 3; with epsilon = 0 the output replays that MCAR sample exactly.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1], got {epsilon}")
+    check_param("epsilon", epsilon)
     if contaminant.d != base.dim:
         raise DimensionError("contaminant dimension differs from base dimension")
     clean = sample_mcar(base, pi, n, seed)
@@ -273,13 +272,6 @@ def sample_arbitrary(base, epsilon: float, pi, contaminant, n: int, seed: int) -
         np.where(w, contaminant.values, clean.values),
         np.where(w, contaminant.observed, clean.observed),
     )
-
-
-def _validate_eps_q(epsilon: float, q: float) -> None:
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"q must lie in (0, 1], got {q}")
 
 
 def _mech_probs(mechanism, x: np.ndarray) -> np.ndarray:
@@ -315,11 +307,9 @@ class ContaminationSpec:
     def __post_init__(self):
         if self.kind not in ("mcar", "realisable", "arbitrary"):
             raise DomainError(f"unknown contamination kind {self.kind!r}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        check_param("epsilon", self.epsilon)
         if self.kind == "realisable":
-            if not 0.0 < float(self.reveal) <= 1.0:
-                raise DomainError(f"q must lie in (0, 1], got {self.reveal}")
+            check_param("q", self.reveal)
             if self.mechanism is None:
                 raise DomainError("realisable contamination needs a mechanism")
             if self.contaminant is not None:
@@ -333,9 +323,7 @@ class ContaminationSpec:
         if self.kind == "mcar":
             return sample_mcar(self.base, self.reveal, n, seed)
         if self.kind == "realisable":
-            return sample_realisable(
-                self.base, self.epsilon, float(self.reveal), self.mechanism, n, seed
-            )
+            return sample_realisable(self.base, self.epsilon, self.reveal, self.mechanism, n, seed)
         return sample_arbitrary(self.base, self.epsilon, self.reveal, self.contaminant, n, seed)
 
 
@@ -363,9 +351,11 @@ class AdversaryLaw:
     def __post_init__(self):
         if self.name not in ("f1", "f2"):
             raise DomainError(f"name must be 'f1' or 'f2', got {self.name!r}")
-        if self.a <= 0 or self.sigma <= 0:
-            raise DomainError("need a > 0 and sigma > 0")
-        _validate_eps_q(self.epsilon, self.q)
+        if not self.a > 0:
+            raise DomainError(f"a must be positive, got {self.a!r}")
+        check_param("sigma", self.sigma)
+        check_param("epsilon", self.epsilon)
+        check_param("q", self.q)
 
     @property
     def lo_mass(self) -> float:
@@ -464,9 +454,9 @@ def adversary_two_point(r: float, sigma: float, epsilon: float, q: float) -> tup
     """
     if r < 2.0:
         raise DomainError(f"moment order r must be at least 2, got {r}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    _validate_eps_q(epsilon, q)
+    check_param("sigma", sigma)
+    check_param("epsilon", epsilon)
+    check_param("q", q)
     lo_mass = q * (1.0 - epsilon)
     a = lo_mass / (lo_mass + epsilon)
     b = 0.5 * sigma * a ** (-1.0 / r)
@@ -506,10 +496,8 @@ def sample_regression(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     theta0 = np.asarray(theta0, dtype=float).reshape(d)
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
+    check_param("sigma", sigma)
+    check_param("epsilon", epsilon)
 
     qx = np.broadcast_to(np.asarray(q_x(X) if callable(q_x) else q_x, dtype=float), (n,))
     if np.any((qx <= 0.0) | (qx > 1.0)):

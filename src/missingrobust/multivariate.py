@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DimensionError, DomainError, EstimationError, ModelError, SizeError
+from .errors import DimensionError, DomainError, EstimationError, ModelError, SizeError, check_param
 from .extended import ExtendedArray
 from .kolmogorov import EmpiricalSummary
 from .rng import Stream, child_seed
@@ -138,10 +138,8 @@ def robust_descent(data, epsilon: float, delta: float, seed: int) -> np.ndarray:
         raise SizeError("empty data")
     if not np.all(np.isfinite(X)):
         raise DomainError("data must be finite")
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    check_param("epsilon", epsilon)
+    check_param("delta", delta)
     loginv = math.log(2.0 / delta)
     M = min(n, math.ceil(max(_A2 * (2.0 * epsilon * n + loginv), _A3 * loginv)))
     perm = Stream(child_seed(seed, 1)).permutation(n)

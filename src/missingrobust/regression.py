@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DimensionError, DomainError, EstimationError
+from .errors import DimensionError, DomainError, EstimationError, check_param
 from .extended import ExtendedArray
 from .kolmogorov import EmpiricalSummary, RealisableSetSpec, dist_to_realisable_sym
 from .models import Gaussian
@@ -48,12 +48,9 @@ def residual_set(sigma: float, epsilon: float, q: float) -> RealisableSetSpec:
     density sandwiched between q(1-eps) and 1 times the noise density, which
     is the realisable set at level (1 - q(1-eps), 1).
     """
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"q must lie in (0, 1], got {q}")
+    # checked here, as the level 1 - q(1-eps) can hide a bad epsilon or q
+    check_param("epsilon", epsilon)
+    check_param("q", q)
     return RealisableSetSpec(Gaussian.univariate(0.0, sigma), 1.0 - q * (1.0 - epsilon), 1.0)
 
 

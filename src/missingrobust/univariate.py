@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, SizeError
+from .errors import DomainError, EstimationError, SizeError, check_param
 from .extended import ExtendedArray
 from .kolmogorov import (
     EmpiricalSummary,
@@ -104,10 +104,8 @@ def trimmed_mean(data, epsilon: float, delta: float, seed: int) -> UniEstimate:
     n = len(x)
     if n < 4:
         raise SizeError(f"need at least 4 points, got {n}")
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    check_param("epsilon", epsilon)
+    check_param("delta", delta)
     perm = Stream(child_seed(seed, 1)).permutation(n)
     first = x[perm[: (n + 1) // 2]]
     second = np.sort(x[perm[(n + 1) // 2 :]])

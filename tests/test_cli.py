@@ -1,19 +1,23 @@
 """Exit codes and output shapes for the four CLI subcommands."""
 
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import missingrobust
 from missingrobust import child_seed, observed_mean, read_dataset, read_records_csv, run_scenario
 from missingrobust.cli import main
-from missingrobust.harness import CSV_HEADER, ScenarioConfig
+from missingrobust.harness import CSV_HEADER, ESTIMATORS, ScenarioConfig
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -371,6 +375,15 @@ class TestProcessEntry:
                 "model.mechanism2.c",
             ),
             ({"kind": "mcar", "patern": "all_or_nothing"}, {"n": [12]}, "model.patern"),
+            # a name that is not a string
+            ({"kind": "realisable", "mechanism": {"name": [1]}}, {"n": [12], "epsilon": [0.1]}, "model.mechanism.name"),
+            ({"kind": "realisable", "mechanism": {"name": {}}}, {"n": [12], "epsilon": [0.1]}, "model.mechanism.name"),
+            ({"kind": "arbitrary", "contaminant": {"name": [1]}}, {"n": [12], "epsilon": [0.1]}, "model.contaminant.name"),
+            (
+                {"kind": "regression", "theta0": [1.0, -1.0], "mechanism2": {"name": {"a": 1}}},
+                {"n": [12], "d": [2], "epsilon": [0.1], "q": [0.8]},
+                "model.mechanism2.name",
+            ),
         ],
     )
     def test_bad_model_key_is_exit_one_without_traceback(self, tmp_path, model, grid, key):
@@ -431,3 +444,149 @@ class TestProcessEntry:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("config error: --delta:")
+
+
+# ---------------------------------------------------------------------------
+# no traceback by construction: one hostile key or flag at a time
+
+
+def _fuzz_config(model, estimators, **grid):
+    return {
+        "model": model,
+        "estimators": estimators,
+        "grid": {"n": [8], "d": [1], "epsilon": [0.1], "q": [0.8], "sigma": [1.0], **grid},
+        "reps": 1,
+        "delta": 0.1,
+        "seed": 3,
+    }
+
+
+# one tiny valid config per model kind (two for realisable, to reach the custom mechanism's keys)
+_FUZZ_CONFIGS = {
+    "mcar": _fuzz_config(
+        {"kind": "mcar", "theta0": 0.0, "pattern": "independent"},
+        ["observed_mean", "median_of_means", "trimmed_mean", "min_kolmogorov"],
+        epsilon=[0.0],
+    ),
+    "realisable": _fuzz_config(
+        {"kind": "realisable", "theta0": 0.0, "mechanism": {"name": "threshold_above", "t": 0.0}},
+        ["average_of_extremes", "min_kolmogorov"],
+    ),
+    "realisable_custom": _fuzz_config(
+        {"kind": "realisable", "mechanism": {"name": "custom", "knots": [0.0], "levels": [0.2, 1.0]}},
+        ["complete_case_mean", "robust_descent"],
+    ),
+    "arbitrary": _fuzz_config(
+        {"kind": "arbitrary", "theta0": 0.0, "contaminant": {"name": "point", "value": [1.0, 1.0]}},
+        ["complete_case_mean", "robust_descent"],
+        d=[2],
+    ),
+    "f1_adversary": _fuzz_config(
+        {"kind": "f1_adversary", "law": "f1", "a": 1.0}, ["observed_mean", "median_of_means"]
+    ),
+    "two_point": _fuzz_config({"kind": "two_point", "r": 2.0, "which": 2}, ["trimmed_mean"]),
+    "regression": _fuzz_config(
+        {
+            "kind": "regression",
+            "theta0": [1.0, -1.0],
+            "design": "gaussian",
+            "mechanism2": {"name": "constant", "c": 0.5},
+        },
+        ["ols_observed"],
+        d=[2],
+    ),
+}
+
+
+def _key_paths(section, prefix=""):
+    for key, value in section.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + key + ".")
+
+
+_FUZZ_KEYS = [(label, path) for label, cfg in _FUZZ_CONFIGS.items() for path in _key_paths(cfg)]
+_DELETE = "<key deleted>"
+# hostile JSON values; json.dumps writes the non-finite floats as Infinity and NaN, which json.load reads back
+_HOSTILE = [
+    _DELETE, None, True, False, "x", "", [], {}, 0, -1, 2, 0.5, 1e-320, 1e308, -1e308,
+    math.inf, -math.inf, math.nan, 10**400, [[1.0]], [None], ["x"], [0], [-1], [1e-320],
+    [1e308], [math.inf], [math.nan], {"name": [1]}, {"name": {}}, {"name": "x"},
+]
+# flag values that argparse's float() parses, among them the overflow and underflow spellings
+_FLOAT_TEXT = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "2", "1e-320", "5e-324", "1e308", "1e400", "1e-400", "inf", "nan"]),
+    st.floats().map(repr),
+)
+_FLAGS = ("--epsilon", "--q", "--sigma", "--delta")
+
+_config_cases = st.tuples(
+    st.sampled_from(["simulate", "generate"]), st.sampled_from(_FUZZ_KEYS), st.sampled_from(_HOSTILE)
+).filter(
+    # a reps count past what time allows is a resource limit, not a domain: the run never ends
+    lambda c: not (c[1][1] == "reps" and c[2] == 10**400)
+)
+# one flag=value token, so that argparse reads a value such as -1e+16 as the flag's value
+_flag = partial("{}={}".format)
+_estimate_cases = st.tuples(
+    st.just("estimate"),
+    st.sampled_from(ESTIMATORS),
+    st.one_of(
+        st.builds(_flag, st.sampled_from(_FLAGS), _FLOAT_TEXT),
+        st.builds(_flag, st.just("--seed"), st.integers()),
+    ),
+)
+_report_cases = st.tuples(st.just("report"), st.just(None), st.builds(_flag, st.just("--delta"), _FLOAT_TEXT))
+
+
+def _mutated(label, path, value):
+    cfg = copy.deepcopy(_FUZZ_CONFIGS[label])
+    *parents, key = path.split(".")
+    section = cfg
+    for part in parents:
+        section = section[part]
+    if value == _DELETE:
+        del section[key]
+    else:
+        section[key] = value
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A dataset dump and a results CSV for the estimate and report cases."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(_FUZZ_CONFIGS["mcar"]))
+    assert main(["generate", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(root / "results.csv")]) == 0
+    return root / "data" / "mcar_gaussian_c000_r000.tsv", root / "results.csv"
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=st.one_of(_config_cases, _estimate_cases, _report_cases))
+@example(case=("simulate", ("mcar", "delta"), 1e-320)).via("OverflowError from ceil(log(2/delta)) in _mom_blocks")
+@example(case=("simulate", ("realisable_custom", "delta"), 1e-320)).via(
+    "OverflowError from ceil(log(2/delta)) in robust_descent"
+)
+@example(case=("estimate", "median_of_means", "--delta=1e-320")).via("OverflowError in _mom_blocks")
+@example(case=("simulate", ("realisable", "model.mechanism.name"), [1])).via("TypeError: unhashable type: 'list'")
+@example(case=("generate", ("realisable", "model.mechanism.name"), {})).via("TypeError: unhashable type: 'dict'")
+# Gaussian.univariate's OverflowError for such a sigma was a library-only traceback; both paths here refuse it
+@example(case=("simulate", ("mcar", "grid.sigma"), [1e200])).via("sigma whose square overflows, in a config")
+@example(case=("estimate", "min_kolmogorov", "--sigma=1e200")).via("sigma whose square overflows, as a flag")
+def test_one_hostile_key_or_flag_never_raises_out_of_main(fuzz_inputs, tmp_path_factory, case):
+    """``main`` returns 0, 1 or 2 whatever one config key or CLI flag holds."""
+    command, target, change = case
+    data, results = fuzz_inputs
+    out = tmp_path_factory.mktemp("out")
+    if command == "estimate":
+        argv = ["estimate", "--estimator", target, "--data", str(data), change]
+    elif command == "report":
+        argv = ["report", "--in", str(results), "--out", str(out / "t.csv"), change]
+    else:
+        (label, path), value = target, change
+        cfg = out / "config.json"
+        cfg.write_text(json.dumps(_mutated(label, path, value)))
+        argv = [command, "--config", str(cfg), "--out", str(out / ("r.csv" if command == "simulate" else "data"))]
+    assert main(argv) in (0, 1, 2)

@@ -86,6 +86,12 @@ __all__ = [
 _CONFIG_KEYS = {"model", "estimators", "grid", "reps", "delta", "seed"}
 _GRID_KEYS = ("n", "d", "epsilon", "q", "sigma")
 _GRID_DEFAULTS = {"d": [1], "epsilon": [0.0], "q": [1.0], "sigma": [1.0]}
+# size caps: a cell draws its n x d sample whole (min_kolmogorov's scan then
+# holds 128 x n doubles, 1 GB at the cap), and simulate builds its task list,
+# one entry per cell and rep, before the first task runs
+_MAX_N = 10**6
+_MAX_D = 64
+_MAX_REPS = 10**5
 
 _UNIVARIATE = ("observed_mean", "average_of_extremes", "median_of_means", "trimmed_mean", "min_kolmogorov")
 _MULTIVARIATE = ("complete_case_mean", "robust_descent", "min_kolmogorov_multi")
@@ -335,10 +341,9 @@ class ScenarioConfig:
             vals = grid_raw.get(key, _GRID_DEFAULTS.get(key))
             _require(isinstance(vals, list) and len(vals) > 0, f"grid.{key} must be a nonempty list")
             grid[key] = list(vals)
-        for nn in grid["n"]:
-            _require(_is_int(nn) and nn >= 1, f"grid.n entries must be ints >= 1, got {nn!r}")
-        for dd in grid["d"]:
-            _require(_is_int(dd) and dd >= 1, f"grid.d entries must be ints >= 1, got {dd!r}")
+        for key, cap in (("n", _MAX_N), ("d", _MAX_D)):
+            for v in grid[key]:
+                _require(_is_int(v) and 1 <= v <= cap, f"grid.{key} entries must be ints >= 1 and <= {cap}, got {v!r}")
         for key in ("epsilon", "q", "sigma"):
             for v in grid[key]:
                 _check_range(key, v, f"grid.{key} entries")
@@ -352,7 +357,7 @@ class ScenarioConfig:
         )
         _require(len(set(estimators)) == len(estimators), f"estimators must not repeat a name, got {estimators}")
         reps = raw["reps"]
-        _require(_is_int(reps) and reps >= 1, f"reps must be an int >= 1, got {reps!r}")
+        _require(_is_int(reps) and 1 <= reps <= _MAX_REPS, f"reps must be an int >= 1 and <= {_MAX_REPS}, got {reps!r}")
         delta = raw["delta"]
         _check_range("delta", delta, "delta")
         seed = raw["seed"]

@@ -20,6 +20,7 @@ cross-check lives with the tests (``tests/oracles.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,28 @@ class EmpiricalSummary:
             raise SizeError("more observed values than rows")
         z.setflags(write=False)
         object.__setattr__(self, "sorted_observed", z)
+
+    @classmethod
+    def _of_sorted(cls, z: np.ndarray, n_total: int) -> "EmpiricalSummary":
+        """Summary of a 1-D float array that is sorted by construction, kept without a copy.
+
+        Checks only the end values and the sizes.  For ``np.sort`` output
+        (NaN sorts last) and for a sorted finite array shifted by a finite
+        theta (rounding is monotone, so an overflow can only reach the ends)
+        a finite first and last value means every value is finite and in
+        order, so this refuses exactly what the public constructor refuses.
+        """
+        if len(z) and not (np.isfinite(z[0]) and np.isfinite(z[-1])):
+            raise DomainError("observed values must be finite")
+        if n_total < 1:
+            raise SizeError(f"need at least one row, got {n_total}")
+        if len(z) > n_total:
+            raise SizeError("more observed values than rows")
+        z.setflags(write=False)
+        summary = object.__new__(cls)
+        object.__setattr__(summary, "sorted_observed", z)
+        object.__setattr__(summary, "n_total", n_total)
+        return summary
 
     @staticmethod
     def from_sample(sample: ExtendedArray) -> "EmpiricalSummary":
@@ -101,9 +124,13 @@ def _chain(F: np.ndarray, lo_mass: float, hi_mass: float):
     ``F`` holds base CDF values at the sorted observed points; node m+1 has
     F = 1.  The target mass V_k - V_i between nodes i <= k lies in
     [SL_k - SL_i, SU_k - SU_i].  The running max guards the kernel's need for
-    a nondecreasing chain, as ``dist_to_realisable_batch`` takes F from its caller.
+    a nondecreasing chain, as ``dist_to_realisable_batch`` takes F from its
+    caller; it runs only when some row steps down, as on a nondecreasing F it
+    returns F itself.
     """
-    F = np.maximum.accumulate(np.asarray(F, dtype=float), axis=-1)
+    F = np.asarray(F, dtype=float)
+    if np.any(F[..., 1:] < F[..., :-1]):
+        F = np.maximum.accumulate(F, axis=-1)
     G = np.concatenate([F, np.ones(F.shape[:-1] + (1,))], axis=-1)
     return lo_mass * G, hi_mass * G
 
@@ -127,6 +154,21 @@ class ChainBounds:
         return ChainBounds(SL, SU)
 
 
+def _windows(nodes: np.ndarray, n: int):
+    """Window offsets e_j = min(j, m)/n and f_j = (j-1)/n at the global nodes j."""
+    m = int(nodes[-1]) - 1
+    return np.minimum(nodes, m) / n, (nodes - 1) / n
+
+
+@lru_cache(maxsize=8)
+def _all_windows(m: int, n: int):
+    """``_windows`` at every node 1..m+1, read-only and shared between calls."""
+    e, f = _windows(np.arange(1, m + 2), n)
+    e.setflags(write=False)
+    f.setflags(write=False)
+    return e, f
+
+
 def _plain_distance(L: np.ndarray, U: np.ndarray, n: int, nodes=None):
     """Smallest feasible band width, row-wise along the last axis.
 
@@ -147,11 +189,7 @@ def _plain_distance(L: np.ndarray, U: np.ndarray, n: int, nodes=None):
     monotone, so it is one in floating point too, given the full chain's
     floats at those nodes (``_chain`` on the subset of a nondecreasing F).
     """
-    if nodes is None:
-        nodes = np.arange(1, L.shape[-1] + 1)
-    m = int(nodes[-1]) - 1
-    e = np.minimum(nodes, m) / n
-    f = (nodes - 1) / n
+    e, f = _all_windows(L.shape[-1] - 1, int(n)) if nodes is None else _windows(nodes, n)
     lead_lo = np.maximum.accumulate(e - L, axis=-1)  # max_{i<=k} (e_i - SL_i)
     lead_hi = np.maximum.accumulate(U - f, axis=-1)  # max_{k<=i} (SU_k - f_k)
     t = np.maximum.reduce([

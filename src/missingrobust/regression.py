@@ -51,7 +51,13 @@ def residual_set(sigma: float, epsilon: float, q: float) -> RealisableSetSpec:
     # checked here, as the level 1 - q(1-eps) can hide a bad epsilon or q
     check_param("epsilon", epsilon)
     check_param("q", q)
-    return RealisableSetSpec(Gaussian.univariate(0.0, sigma), 1.0 - q * (1.0 - epsilon), 1.0)
+    level = 1.0 - q * (1.0 - epsilon)
+    if level >= 1.0:
+        raise DomainError(
+            f"q * (1 - epsilon) = {q * (1.0 - epsilon)!r} is below float resolution, so the residual set's "
+            f"level 1 - q(1 - epsilon) rounds to 1 (q={q!r}, epsilon={epsilon!r})"
+        )
+    return RealisableSetSpec(Gaussian.univariate(0.0, sigma), level, 1.0)
 
 
 def ks_regression_estimate(
@@ -93,8 +99,7 @@ def ks_regression_estimate(
     starts = [ols] + [ols + scale * s for s in shifts]
 
     def objective(theta: np.ndarray) -> float:
-        resid = np.sort(yo - Xo @ theta)
-        return dist_to_realisable_sym(EmpiricalSummary(resid, n), spec)
+        return dist_to_realisable_sym(EmpiricalSummary._of_sorted(np.sort(yo - Xo @ theta), n), spec)
 
     best = None
     start_values = []

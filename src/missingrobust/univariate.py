@@ -133,8 +133,10 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     every theta: the distance at theta is the distance of the data shifted by
     -theta.  Coarse 512-point scan over the data range widened by 6 sigma
     (fallback [-6 sigma, 6 sigma] with no observations), golden-section
-    refinement to 1e-6 sigma (or a few ulps of theta, if wider), then a left-plateau search so ties resolve to
-    the smallest minimizer.
+    refinement to 1e-6 sigma (or a few ulps of theta, if wider), then a
+    left-plateau search so ties resolve to the smallest minimizer: a check at
+    the scan's left end and 50 bisection steps on the predicate
+    J(mid) <= v* + 1e-9, with v* the golden-section minimum.
 
     The scan is screened: the set-distance kernel on about 128 evenly spaced
     chain nodes gives a lower bound for every grid row, the exact kernel runs
@@ -142,9 +144,31 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     does not exceed that exact value.  The chain on the node subset is the
     full chain at those nodes bit for bit, so the bound is a lower bound in
     floating point too.  A row that could tie or beat the minimum is always
-    evaluated exactly, so the argmin is the full scan's.  ``meta`` reports
-    the rows evaluated exactly (``scan_rows_exact``) and the scalar
-    objective evaluations (``objective_evals``).
+    evaluated exactly, so the argmin is the full scan's.
+
+    The plateau search skips an evaluation whose outcome is proved, and
+    never changes its path.  J is L-Lipschitz with
+    L = hi_mass / (s sqrt(2 pi)), s the base's scale: each term of the
+    kernel is a chain value plus a constant, or half the difference of two
+    values of one chain, so it moves by at most hi_mass times the largest
+    move of the base CDF values, and Phi((z - theta) / s) moves at a rate of
+    at most 1 / (s sqrt(2 pi)); a maximum of L-Lipschitz terms is
+    L-Lipschitz.  Every scan row carries a lower bound lb (its exact value,
+    or its screen bound), and every golden-section and bisection point its
+    value, so J(mid) >= max_x (lb_x - L |mid - x|).  When that envelope
+    exceeds v* + 1e-9 + margin, the computed J(mid) lies above v* + 1e-9 and
+    the step moves right without an evaluation.  The margin is
+    1e-12 + 8 L ulp(max|z| + max(|lo|, |hi|)) over the scan range [lo, hi]:
+    rounding z - theta moves a base CDF value by at most L / hi_mass times
+    half that ulp, at mid and at x alike, and ndtr, the division by s, the
+    kernel's arithmetic and the envelope's own take a few multiples of the
+    double epsilon, far below 1e-12.  When s is below the float spacing the
+    margin dwarfs every envelope, and no evaluation is skipped.
+
+    ``meta`` reports the rows evaluated exactly (``scan_rows_exact``), the
+    scalar objective evaluations made (``objective_evals``) and the plateau
+    predicates settled without one (``plateau_skips``); their sum is the
+    search's evaluation count without the skips.
     """
     spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q)
     summary = sample if isinstance(sample, EmpiricalSummary) else EmpiricalSummary.from_sample(sample)
@@ -162,16 +186,20 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
                 "bracket": (lo_g, 6.0 * sigma),
                 "scan_rows_exact": 0,
                 "objective_evals": 0,
+                "plateau_skips": 0,
             },
         )
     lo_g, hi_g = float(z[0]) - 6.0 * sigma, float(z[-1]) + 6.0 * sigma
     grid = np.linspace(lo_g, hi_g, 512)
-    evals = 0
+    seen_x: list[float] = []
+    seen_j: list[float] = []
 
     def objective(theta: float) -> float:
-        nonlocal evals
-        evals += 1
-        return dist_to_realisable(EmpiricalSummary(z - theta, n), spec)
+        # z - theta is sorted and finite, as z is and theta is finite
+        value = dist_to_realisable(EmpiricalSummary._of_sorted(z - theta, n), spec)
+        seen_x.append(theta)
+        seen_j.append(value)
+        return value
 
     # node-subset lower bound on every row
     nodes = np.append(np.arange(1, m + 1, max(1, m // _SCREEN_NODES)), m + 1)
@@ -215,17 +243,35 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     theta_hat = c if fc <= fd else d
     v_star = min(fc, fd)
 
-    # smallest minimizer: walk the tie plateau to its left edge
+    # smallest minimizer: walk the tie plateau to its left edge, skipping
+    # the evaluations the Lipschitz envelope settles (see the docstring)
+    tie = v_star + 1e-9
+    lipschitz = spec.hi_mass / (spec.base.scale * math.sqrt(2.0 * math.pi))
+    margin = 1e-12 + 8.0 * lipschitz * math.ulp(max(abs(float(z[0])), abs(float(z[-1]))) + max(abs(lo_g), abs(hi_g)))
+    scan_lb = np.where(np.isfinite(exact), exact, bound)
+    skips = 0
+
+    def above(theta: float) -> bool:
+        nonlocal skips
+        envelope = max(
+            np.max(scan_lb - lipschitz * np.abs(theta - grid)),
+            np.max(np.asarray(seen_j) - lipschitz * np.abs(theta - np.asarray(seen_x))),
+        )
+        if envelope - margin > tie:
+            skips += 1
+            return True
+        return objective(theta) > tie
+
     lo_p, hi_p = lo_g, float(theta_hat)
-    if objective(lo_p) <= v_star + 1e-9:
+    if not above(lo_p):
         hi_p = lo_p
     else:
         for _ in range(50):
             mid = 0.5 * (lo_p + hi_p)
-            if objective(mid) <= v_star + 1e-9:
-                hi_p = mid
-            else:
+            if above(mid):
                 lo_p = mid
+            else:
+                hi_p = mid
     return UniEstimate(
         float(hi_p),
         {
@@ -233,6 +279,7 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
             "kolmogorov_value": float(v_star),
             "bracket": bracket,
             "scan_rows_exact": int(np.isfinite(exact).sum()),
-            "objective_evals": evals,
+            "objective_evals": len(seen_j),
+            "plateau_skips": skips,
         },
     )

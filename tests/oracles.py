@@ -2,10 +2,13 @@
 
 Everything here is deliberately written against scipy primitives rather than
 package code, so each check compares two unrelated routes to the same number.
-Two exceptions reuse package functions: ``mk_full_scan_bracket`` is the
+Three exceptions reuse package functions: ``mk_full_scan_bracket`` is the
 unscreened coarse scan that ``mk_estimate``'s screened scan must reproduce
 bit for bit, so it runs the package's exact batch kernel on every grid row;
-and ``iterative_robust_descent`` (see below) runs the package's
+``mk_search_without_skips`` is the search that follows it, with every
+plateau predicate evaluated, which ``mk_estimate`` must reproduce bit for
+bit with fewer evaluations, so it runs the package's scalar kernel; and
+``iterative_robust_descent`` (see below) runs the package's
 ``trimmed_mean`` and ``robust_block_descent``.
 
 Three paper quantities serve only as references for the tests:
@@ -48,9 +51,12 @@ from missingrobust import (
     DomainError,
     EmpiricalSummary,
     ExtendedArray,
+    Gaussian,
+    RealisableSetSpec,
     SizeError,
     Stream,
     child_seed,
+    dist_to_realisable,
     dist_to_realisable_batch,
     robust_block_descent,
     trimmed_mean,
@@ -534,6 +540,56 @@ def mk_full_scan_bracket(summary, epsilon: float, q: float, sigma: float) -> tup
         coarse[start : start + 128] = dist_to_realisable_batch(F, n, lo_mass, lo_mass + epsilon)
     best = int(np.argmin(coarse))
     return float(grid[max(best - 2, 0)]), float(grid[min(best + 2, 511)])
+
+
+def mk_search_without_skips(summary, epsilon: float, q: float, sigma: float) -> tuple:
+    """``mk_estimate``'s golden section and left-plateau search, evaluating every predicate.
+
+    Starts from ``mk_full_scan_bracket`` and runs the search as it was
+    before the plateau search learned to skip evaluations its Lipschitz
+    envelope settles, through the public ``EmpiricalSummary`` constructor.
+    Returns (value, kolmogorov_value, evaluations); with at least one
+    observed value.
+    """
+    z, n = summary.sorted_observed, summary.n_total
+    spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q)
+    lo_g = float(z[0]) - 6.0 * sigma
+    a, b = mk_full_scan_bracket(summary, epsilon, q, sigma)
+    evals = 0
+
+    def objective(theta: float) -> float:
+        nonlocal evals
+        evals += 1
+        return dist_to_realisable(EmpiricalSummary(z - theta, n), spec)
+
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > max(1e-6 * sigma, 4.0 * math.ulp(max(abs(a), abs(b)))):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = objective(d)
+    theta_hat = c if fc <= fd else d
+    v_star = min(fc, fd)
+
+    # smallest minimizer: walk the tie plateau to its left edge
+    lo_p, hi_p = lo_g, float(theta_hat)
+    if objective(lo_p) <= v_star + 1e-9:
+        hi_p = lo_p
+    else:
+        for _ in range(50):
+            mid = 0.5 * (lo_p + hi_p)
+            if objective(mid) <= v_star + 1e-9:
+                hi_p = mid
+            else:
+                lo_p = mid
+    return float(hi_p), float(v_star), evals
 
 
 def sym_distance_by_all_crossings(summary, spec) -> float:

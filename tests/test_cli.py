@@ -522,9 +522,6 @@ _FLAGS = ("--epsilon", "--q", "--sigma", "--delta")
 
 _config_cases = st.tuples(
     st.sampled_from(["simulate", "generate"]), st.sampled_from(_FUZZ_KEYS), st.sampled_from(_HOSTILE)
-).filter(
-    # a reps count past what time allows is a resource limit, not a domain: the run never ends
-    lambda c: not (c[1][1] == "reps" and c[2] == 10**400)
 )
 # one flag=value token, so that argparse reads a value such as -1e+16 as the flag's value
 _flag = partial("{}={}".format)
@@ -575,6 +572,10 @@ def fuzz_inputs(tmp_path_factory):
 # Gaussian.univariate's OverflowError for such a sigma was a library-only traceback; both paths here refuse it
 @example(case=("simulate", ("mcar", "grid.sigma"), [1e200])).via("sigma whose square overflows, in a config")
 @example(case=("estimate", "min_kolmogorov", "--sigma=1e200")).via("sigma whose square overflows, as a flag")
+# sizes past numpy's index range, and a run that never ends; each is now capped in the config
+@example(case=("simulate", ("mcar", "grid.n"), [10**400])).via("ValueError: Maximum allowed dimension exceeded")
+@example(case=("simulate", ("mcar", "grid.d"), [10**400])).via("ValueError: Maximum allowed dimension exceeded")
+@example(case=("generate", ("mcar", "reps"), 10**400)).via("generate writes dumps until it is killed")
 def test_one_hostile_key_or_flag_never_raises_out_of_main(fuzz_inputs, tmp_path_factory, case):
     """``main`` returns 0, 1 or 2 whatever one config key or CLI flag holds."""
     command, target, change = case

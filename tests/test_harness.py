@@ -193,6 +193,10 @@ class TestScenarioConfig:
             ({"n": [50, 50]}, r"grid\.n must not repeat a value"),
             ({"n": [10], "q": [0.5, 1, 0.5]}, r"grid\.q must not repeat a value"),
             ({"n": [10], "epsilon": [0, 0.0]}, r"grid\.epsilon must not repeat a value"),
+            ({"n": [10**400]}, r"grid\.n entries must be ints >= 1 and <= 1000000"),
+            ({"n": [1_000_001]}, r"grid\.n entries"),
+            ({"n": [10], "d": [10**400]}, r"grid\.d entries must be ints >= 1 and <= 64"),
+            ({"n": [10], "d": [65]}, r"grid\.d entries"),
         ],
     )
     def test_grid_entry_checks(self, grid, match):
@@ -214,6 +218,8 @@ class TestScenarioConfig:
             ({"delta": "0.1"}, "delta"),
             ({"seed": True}, "seed"),
             ({"estimators": ["median_of_means", "median_of_means"]}, "estimators must not repeat a name"),
+            ({"reps": 10**400}, r"reps must be an int >= 1 and <= 100000"),
+            ({"reps": 100_001}, "reps"),
         ],
     )
     def test_scalar_field_checks(self, patch, match):

@@ -152,6 +152,25 @@ class TestSummaryAndSpec:
         with pytest.raises(DomainError):
             EmpiricalSummary(np.array([np.nan]), 2)
 
+    @pytest.mark.parametrize("z", [[-np.inf, 0.0], [0.0, np.inf], [0.0, np.nan], [np.nan]])
+    def test_sorted_constructor_refuses_non_finite_ends(self, z):
+        z = np.sort(np.array(z))
+        with pytest.raises(DomainError, match="observed values must be finite"):
+            EmpiricalSummary(z, 5)
+        with pytest.raises(DomainError, match="observed values must be finite"):
+            EmpiricalSummary._of_sorted(z, 5)
+
+    def test_sorted_constructor_matches_the_public_one(self):
+        z = np.sort(Stream(71).normals(30))
+        for theta in (0.0, 1.5, -1e6):
+            public, private = EmpiricalSummary(z - theta, 40), EmpiricalSummary._of_sorted(z - theta, 40)
+            assert np.array_equal(public.sorted_observed, private.sorted_observed)
+            assert private.n_total == 40 and not private.sorted_observed.flags.writeable
+        with pytest.raises(SizeError):
+            EmpiricalSummary._of_sorted(np.array([1.0, 2.0]), 1)
+        with pytest.raises(SizeError):
+            EmpiricalSummary._of_sorted(np.array([]), 0)
+
     def test_spec_masses(self):
         spec = RealisableSetSpec(STD, 0.3, 0.8)
         assert spec.lo_mass == pytest.approx(0.56)

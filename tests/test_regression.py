@@ -44,6 +44,12 @@ class TestResidualSet:
         with pytest.raises(DomainError):
             residual_set(1.0, 0.1, 0.0)
 
+    def test_q_below_float_resolution_names_q_and_epsilon(self):
+        # q (1 - epsilon) = 9e-18 leaves the level 1 - q (1 - epsilon) at 1.0
+        with pytest.raises(DomainError, match=r"q \* \(1 - epsilon\).*below float resolution.*q=1e-17, epsilon=0\.1"):
+            residual_set(1.0, 0.1, 1e-17)
+        assert residual_set(1.0, 0.1, 1e-15).lo_mass > 0.0
+
 
 class TestKsRegression:
     def fit_once(self, n=2000, theta0=(1.0, -2.0), eps=0.0, qx=1.0, mech=1.0, master=0):

@@ -1,5 +1,7 @@
 """Univariate estimators: midrange, block medians, trimming, minimum distance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from oracles import (
     adversary_sample_by_bisection,
     extended_from_rows,
     mk_full_scan_bracket,
+    mk_search_without_skips,
     sorted_block_means,
     upper_median,
 )
@@ -89,6 +92,28 @@ def pinned_cases():
     yield "t2", EmpiricalSummary(n1 / np.sqrt(0.5 * (n2**2 + n3**2)), 900), 0.1, 0.9, 1.0
     yield "rounded", EmpiricalSummary(np.round(2.0 * Stream(47).normals(2000)) / 2.0, 2500), 0.3, 0.7, 1.0
     yield "small_m", EmpiricalSummary(Stream(53).normals(50) * 1.5 + 1.0, 60), 0.2, 0.8, 1.5
+
+
+def search_cases():
+    """(label, summary, epsilon, q, sigma) for the plateau search's bit-identity check.
+
+    The adversary law at n = 1e3, tie plateaus (the one reaching the scan's
+    left edge among them), a sigma near the float spacing at theta, data
+    offset by 1e6 with sigma 1e-3, where the rounding margin is widest
+    against the objective's slope, and m = 1 to 3.
+    """
+    law = AdversaryLaw("f1", 1.0, 1.0, 0.3, 1.0)
+    for seed in range(4):
+        yield f"adversary_s{seed}", EmpiricalSummary.from_sample(law.sample(1000, seed=seed)), 0.3, 1.0, 1.0
+    yield "plateau_left_edge", EmpiricalSummary(np.array([0.0]), 10), 0.9, 0.1, 1.0
+    yield "plateau_two_points", EmpiricalSummary(np.array([0.0, 0.0]), 40), 0.5, 0.3, 1.0
+    yield "plateau_rounded", EmpiricalSummary(np.round(2.0 * Stream(47).normals(2000)) / 2.0, 2500), 0.3, 0.7, 1.0
+    yield "plateau_rounded_small", EmpiricalSummary(np.round(Stream(59).normals(40)), 60), 0.1, 0.5, 1.0
+    tiny = sample_realisable(Gaussian.univariate(1.0, 1e-11), 0.1, 0.8, Constant(1.0), 500, seed=3)
+    yield "sigma_1e-11", EmpiricalSummary.from_sample(tiny), 0.1, 0.8, 1e-11
+    yield "offset_1e6", EmpiricalSummary(1e6 + 1e-3 * Stream(61).normals(400), 450), 0.2, 0.8, 1e-3
+    for m in (1, 2, 3):
+        yield f"m{m}", EmpiricalSummary(Stream(67 + m).normals(m), m + 5), 0.2, 0.8, 1.0
 
 
 class TestOrderMedian:
@@ -331,3 +356,40 @@ class TestMkEstimate:
             meta = mk_estimate(summary, eps, q, sigma).meta
             assert 1 <= meta["scan_rows_exact"] <= 512
             assert meta["objective_evals"] >= 2
+
+    @pytest.mark.parametrize("summary, eps, q, sigma", [pytest.param(*case, id=label) for label, *case in search_cases()])
+    def test_plateau_skips_keep_the_search_bit_identical(self, summary, eps, q, sigma):
+        value, kolmogorov_value, evals = mk_search_without_skips(summary, eps, q, sigma)
+        est = mk_estimate(summary, eps, q, sigma)
+        assert est.value.hex() == value.hex()
+        assert float(est.meta["kolmogorov_value"]).hex() == kolmogorov_value.hex()
+        assert est.meta["objective_evals"] + est.meta["plateau_skips"] == evals
+
+    def test_plateau_skips_save_evaluations_on_the_adversary_law(self):
+        law = AdversaryLaw("f1", 1.0, 1.0, 0.3, 1.0)
+        metas = [mk_estimate(law.sample(1000, seed=seed), 0.3, 1.0, 1.0).meta for seed in range(4)]
+        assert all(meta["plateau_skips"] > 0 for meta in metas)
+        assert sum(meta["objective_evals"] for meta in metas) <= 0.85 * sum(
+            meta["objective_evals"] + meta["plateau_skips"] for meta in metas
+        )
+
+    def test_sigma_below_the_float_spacing_skips_nothing(self):
+        # at sigma = 1e-17 around 1.0 the rounding margin dwarfs every envelope
+        summary = EmpiricalSummary(1.0 + np.array([0.0, 2.0**-52, 2.0**-51]), 4)
+        assert mk_estimate(summary, 0.1, 0.8, 1e-17).meta["plateau_skips"] == 0
+
+    @pytest.mark.parametrize(
+        "summary, eps, q, sigma",
+        [pytest.param(*case, id=label) for label, *case in search_cases() if label in ("adversary_s0", "plateau_rounded_small", "m3")],
+    )
+    def test_objective_is_lipschitz(self, summary, eps, q, sigma):
+        # the envelope's premise, |J(a) - J(b)| <= L |a - b| with L = hi_mass / (scale sqrt(2 pi)),
+        # on neighbouring points of a dense grid (the triangle inequality gives every other pair)
+        spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), eps, q)
+        z, n = summary.sorted_observed, summary.n_total
+        thetas = np.linspace(z[0] - 6.0 * sigma, z[-1] + 6.0 * sigma, 2001)
+        J = np.array([dist_to_realisable(EmpiricalSummary(z - t, n), spec) for t in thetas])
+        L = spec.hi_mass / (spec.base.scale * math.sqrt(2.0 * math.pi))
+        steps = np.abs(np.diff(J))
+        assert np.all(steps <= L * np.diff(thetas) + 1e-12)
+        assert steps.max() >= 0.5 * L * np.diff(thetas).max()  # and the bound is nearly attained

@@ -376,6 +376,8 @@ class ScenarioConfig:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
         except UnicodeDecodeError as e:
             raise ConfigError(f"config {path} is not text: {e}") from e
+        except ValueError as e:  # an integer literal past the int-string conversion limit
+            raise ConfigError(f"config {path} has a number JSON cannot read: {e}") from e
         return ScenarioConfig.from_dict(raw)
 
     def _validate_compatibility(self) -> None:

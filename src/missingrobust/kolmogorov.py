@@ -154,6 +154,21 @@ class ChainBounds:
         return ChainBounds(SL, SU)
 
 
+# bytes in one row block of the kernels: about 64 KB per temporary keeps a
+# block's work arrays in cache and in heap memory the allocator reuses, where
+# a temporary above the allocator's 128 KB mapping threshold is mapped afresh
+# and faults in page by page.  On a 2-CPU machine, unblocked (512, 132)
+# screens and (19, 1562) lockstep batches made about 40000 minor page faults
+# per multivariate_mk call, and 64 KB blocks about 200; 32 KB blocks paid
+# more in per-call overhead, and 128 KB blocks faulted again.
+_BLOCK_BYTES = 1 << 16
+
+
+def _row_block(n_cols: int) -> int:
+    """Rows per block of a kernel pass over rows of ``n_cols`` floats."""
+    return max(1, _BLOCK_BYTES // (8 * n_cols))
+
+
 def _windows(nodes: np.ndarray, n: int):
     """Window offsets e_j = min(j, m)/n and f_j = (j-1)/n at the global nodes j."""
     m = int(nodes[-1]) - 1
@@ -218,11 +233,17 @@ def dist_to_realisable_batch(
 
     Row k of ``F_matrix`` holds the k-th candidate base CDF evaluated at the
     sorted observed values; the same exact kernel as ``dist_to_realisable``
-    runs on all rows at once.  Used by grid scans where per-candidate calls
-    would dominate the runtime.
+    runs on all rows, a block of rows at a time (see ``_row_block``); the
+    kernel is row-wise, so each value is its row's alone.  Used by grid scans
+    and lockstep searches where per-candidate calls would dominate the
+    runtime.
     """
-    L, U = _chain(np.atleast_2d(F_matrix), lo_mass, hi_mass)
-    return _plain_distance(L, U, int(n_total))
+    F = np.atleast_2d(F_matrix)
+    out = np.empty(F.shape[:-1])
+    step = _row_block(F.shape[-1] + 1)
+    for start in range(0, len(F), step):
+        out[start : start + step] = _plain_distance(*_chain(F[start : start + step], lo_mass, hi_mass), int(n_total))
+    return out
 
 
 def dist_to_realisable_sym(summary: EmpiricalSummary, spec: RealisableSetSpec) -> float:

@@ -14,9 +14,8 @@ from scipy.optimize import linprog
 
 from .errors import DimensionError, DomainError, EstimationError, ModelError, SizeError, check_param
 from .extended import ExtendedArray
-from .kolmogorov import EmpiricalSummary
 from .rng import Stream, child_seed
-from .univariate import mk_estimate, order_median
+from .univariate import _mk_search, mk_estimate, order_median
 
 __all__ = [
     "as_block_means",
@@ -275,6 +274,13 @@ def multivariate_mk(sample: ExtendedArray, epsilon: float, q: float, Sigma, seed
     projected centre, then reconciles the centres with the theta that
     minimises the largest gap max_i |v_i . theta - centre_i|, an exact
     Chebyshev fit solved as a linear program.
+
+    At d = 1 the centre is one ``mk_estimate``.  At d >= 2 every
+    projection shares the complete rows' count and the row count, so the
+    centres come from one lockstep search over the stack of sorted
+    projections (``univariate._mk_search``): each direction's centre is the
+    one ``mk_estimate`` gives on its projection, bit for bit, while each
+    round of the searches evaluates every live direction in one batch call.
     """
     full = sample.fully_observed()
     none = ~sample.observed.any(axis=1)
@@ -295,11 +301,8 @@ def multivariate_mk(sample: ExtendedArray, epsilon: float, q: float, Sigma, seed
 
     V = quarter_net(d, seed)
     X = sample.values[full]
-    n = sample.n
-    targets = np.empty(len(V))
-    for i, v in enumerate(V):
-        proj = np.sort(X @ v)
-        sigma_v = math.sqrt(float(v @ Sigma @ v))
-        targets[i] = mk_estimate(EmpiricalSummary(proj, n), epsilon, q, sigma_v).value
-
+    # one sort per direction: np.sort(X @ V.T, axis=0) rounds some projections differently
+    Z = np.stack([np.sort(X @ v) for v in V])
+    sigmas = [math.sqrt(float(v @ Sigma @ v)) for v in V]
+    targets = np.array([est.value for est in _mk_search(Z, sample.n, epsilon, q, sigmas)])
     return _chebyshev_fit(V, targets)[0]

@@ -20,6 +20,7 @@ from .kolmogorov import (
     RealisableSetSpec,
     _chain,
     _plain_distance,
+    _row_block,
     dist_to_realisable,
     dist_to_realisable_batch,
 )
@@ -165,64 +166,164 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     double epsilon, far below 1e-12.  When s is below the float spacing the
     margin dwarfs every envelope, and no evaluation is skipped.
 
+    This is the one-row case of the search ``multivariate_mk`` runs over
+    all its projections at once; each search point is one scalar
+    ``dist_to_realisable`` call.
+
     ``meta`` reports the rows evaluated exactly (``scan_rows_exact``), the
     scalar objective evaluations made (``objective_evals``) and the plateau
     predicates settled without one (``plateau_skips``); their sum is the
     search's evaluation count without the skips.
     """
-    spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q)
     summary = sample if isinstance(sample, EmpiricalSummary) else EmpiricalSummary.from_sample(sample)
-    z = summary.sorted_observed
-    m, n = summary.m, summary.n_total
+    (estimate,) = _mk_search(summary.sorted_observed[None, :], summary.n_total, epsilon, q, [sigma])
+    return estimate
 
+
+def _mk_search(Z: np.ndarray, n: int, epsilon: float, q: float, sigmas) -> list[UniEstimate]:
+    """``mk_estimate`` on each row of a (K, m) stack of sorted data, the rows in lockstep.
+
+    Row k holds the sorted observed values of one estimate whose base has
+    scale ``sigmas[k]``; all rows share m and the row count n.  Every row
+    runs its own scan, golden section and plateau search, as ``mk_estimate``
+    describes, and leaves the loop when its own search ends; the rows share
+    the kernel calls.  The exact scan rows of all rows go through
+    ``dist_to_realisable_batch`` in 128-row blocks, the row with the smallest
+    screen bound of each first.  Then each round evaluates the next search
+    point of every live row in one batch call, or through
+    ``dist_to_realisable`` once a single row is left.  The kernel is
+    row-wise, so every value and count is the one row's own, bit for bit.
+    """
+    specs = [RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q) for sigma in sigmas]
+    K, m = Z.shape
+    if n < 1:
+        raise SizeError(f"need at least one row, got {n}")
+    if m > n:
+        raise SizeError("more observed values than rows")
+    if m and not np.all(np.isfinite(Z[:, [0, -1]])):
+        raise DomainError("observed values must be finite")
     if m == 0:
         # constant objective: every centre is lo_mass away
-        lo_g = -6.0 * sigma
-        return UniEstimate(
-            lo_g,
-            {
-                "m_observed": 0,
-                "kolmogorov_value": spec.lo_mass,
-                "bracket": (lo_g, 6.0 * sigma),
-                "scan_rows_exact": 0,
-                "objective_evals": 0,
-                "plateau_skips": 0,
-            },
-        )
-    lo_g, hi_g = float(z[0]) - 6.0 * sigma, float(z[-1]) + 6.0 * sigma
-    grid = np.linspace(lo_g, hi_g, 512)
-    seen_x: list[float] = []
-    seen_j: list[float] = []
-
-    def objective(theta: float) -> float:
-        # z - theta is sorted and finite, as z is and theta is finite
-        value = dist_to_realisable(EmpiricalSummary._of_sorted(z - theta, n), spec)
-        seen_x.append(theta)
-        seen_j.append(value)
-        return value
-
-    # node-subset lower bound on every row
+        return [
+            UniEstimate(
+                -6.0 * sigma,
+                {
+                    "m_observed": 0,
+                    "kolmogorov_value": spec.lo_mass,
+                    "bracket": (-6.0 * sigma, 6.0 * sigma),
+                    "scan_rows_exact": 0,
+                    "objective_evals": 0,
+                    "plateau_skips": 0,
+                },
+            )
+            for sigma, spec in zip(sigmas, specs)
+        ]
+    lo_mass, hi_mass = specs[0].lo_mass, specs[0].hi_mass
+    grids = np.stack([np.linspace(float(z[0]) - 6.0 * s, float(z[-1]) + 6.0 * s, 512) for z, s in zip(Z, sigmas)])
     nodes = np.append(np.arange(1, m + 1, max(1, m // _SCREEN_NODES)), m + 1)
-    F_nodes = spec.base.cdf(z[nodes[:-1] - 1][None, :] - grid[:, None])
-    bound = _plain_distance(*_chain(F_nodes, spec.lo_mass, spec.hi_mass), n, nodes)
+    bounds = np.stack([_screen_bound(z, grid, spec, n, nodes) for z, grid, spec in zip(Z, grids, specs)])
+    exact = np.full((K, 512), np.inf)
 
-    exact = np.full(512, np.inf)
+    def base_cdf(ks, thetas, check: bool = False) -> np.ndarray:
+        # row i: the base CDF of data row ks[i] shifted by -thetas[i]
+        F = np.empty((len(ks), m))
+        for i, (k, theta) in enumerate(zip(ks, thetas)):
+            shifted = Z[k] - theta
+            # the scalar objective's summary refuses a shift that overflows at an end, and so does a round
+            if check and not (math.isfinite(shifted[0]) and math.isfinite(shifted[-1])):
+                raise DomainError("observed values must be finite")
+            F[i] = specs[k].base.cdf(shifted)
+        return F
 
-    def scan_exact(rows: np.ndarray) -> None:
+    def scan_exact(ks, rows) -> None:
         # 128-row blocks cap the memory at the unscreened scan's
         for start in range(0, len(rows), 128):
-            block = rows[start : start + 128]
-            F = spec.base.cdf(z[None, :] - grid[block, None])
-            exact[block] = dist_to_realisable_batch(F, n, spec.lo_mass, spec.hi_mass)
+            kb, rb = ks[start : start + 128], rows[start : start + 128]
+            exact[kb, rb] = dist_to_realisable_batch(base_cdf(kb, grids[kb, rb]), n, lo_mass, hi_mass)
 
-    first = int(np.argmin(bound))
-    scan_exact(np.array([first]))
-    contenders = np.flatnonzero(bound <= exact[first])
-    scan_exact(contenders[contenders != first])
+    firsts = np.argmin(bounds, axis=1)
+    scan_exact(np.arange(K), firsts)
+    ks, rows = np.nonzero(bounds <= exact[np.arange(K), firsts][:, None])
+    others = rows != firsts[ks]
+    scan_exact(ks[others], rows[others])
+
+    searches = [_refine(Z[k], sigmas[k], specs[k], grids[k], exact[k], bounds[k]) for k in range(K)]
+    thetas = np.array([next(search) for search in searches])  # every search evaluates at least twice
+    results: list = [None] * K
+    live = np.arange(K)
+    while len(live) > 1:
+        values = dist_to_realisable_batch(base_cdf(live, thetas[live], check=True), n, lo_mass, hi_mass)
+        still = []
+        for k, value in zip(live.tolist(), values.tolist()):
+            try:
+                thetas[k] = searches[k].send(value)
+                still.append(k)
+            except StopIteration as stop:
+                results[k] = stop.value
+        live = np.array(still, dtype=int)
+    for k in live.tolist():  # the last row runs to its end on the scalar kernel
+        try:
+            while True:
+                summary = EmpiricalSummary._of_sorted(Z[k] - thetas[k], n)
+                thetas[k] = searches[k].send(dist_to_realisable(summary, specs[k]))
+        except StopIteration as stop:
+            results[k] = stop.value
+    return results
+
+
+def _screen_bound(z, grid, spec, n, nodes) -> np.ndarray:
+    """Node-subset lower bound on the objective at every grid row, a block of rows at a time."""
+    z_nodes = z[nodes[:-1] - 1]
+    bound = np.empty(len(grid))
+    step = _row_block(len(nodes))
+    for start in range(0, len(grid), step):
+        F_nodes = spec.base.cdf(z_nodes[None, :] - grid[start : start + step, None])
+        bound[start : start + step] = _plain_distance(*_chain(F_nodes, spec.lo_mass, spec.hi_mass), n, nodes)
+    return bound
+
+
+class _Envelope:
+    """Lower bounds lb_x on one row's objective J at points x, with J(theta) >= max_x (lb_x - L |theta - x|).
+
+    Holds the scan rows' bounds, then each evaluated (theta, J), in arrays
+    that double when full.
+    """
+
+    def __init__(self, grid: np.ndarray, scan_lb: np.ndarray, lipschitz: float):
+        self.x = np.empty(2 * len(grid))
+        self.lb = np.empty(2 * len(grid))
+        self.x[: len(grid)] = grid
+        self.lb[: len(grid)] = scan_lb
+        self.end = len(grid)
+        self.lipschitz = lipschitz
+
+    def add(self, theta: float, value: float) -> float:
+        if self.end == len(self.x):
+            self.x = np.concatenate([self.x, np.empty(len(self.x))])
+            self.lb = np.concatenate([self.lb, np.empty(len(self.lb))])
+        self.x[self.end] = theta
+        self.lb[self.end] = value
+        self.end += 1
+        return value
+
+    def at(self, theta: float) -> float:
+        return (self.lb[: self.end] - self.lipschitz * np.abs(theta - self.x[: self.end])).max()
+
+
+def _refine(z, sigma, spec, grid, exact, bound):
+    """One row's golden section and left-plateau search, as ``mk_estimate`` describes.
+
+    A generator: it yields each point theta to evaluate, is sent J(theta),
+    and returns the row's ``UniEstimate``.  ``exact`` holds the scan's exact
+    values (inf on rows the screen left out) and ``bound`` the screen bounds.
+    """
     best = int(np.argmin(exact))
     a = grid[max(best - 2, 0)]
     b = grid[min(best + 2, 511)]
     bracket = (float(a), float(b))
+    lipschitz = spec.hi_mass / (spec.base.scale * math.sqrt(2.0 * math.pi))
+    scan_lb = np.where(np.isfinite(exact), exact, bound)
+    seen = _Envelope(grid, scan_lb, lipschitz)
 
     # golden-section to |theta error| <= 1e-6 sigma, or to a bracket a few
     # ulps wide when 1e-6 sigma is below the float spacing at theta (each
@@ -230,56 +331,52 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
-    fc, fd = objective(c), objective(d)
+    fc = seen.add(c, (yield c))
+    fd = seen.add(d, (yield d))
     while b - a > max(1e-6 * sigma, 4.0 * math.ulp(max(abs(a), abs(b)))):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
-            fc = objective(c)
+            fc = seen.add(c, (yield c))
         else:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
-            fd = objective(d)
+            fd = seen.add(d, (yield d))
     theta_hat = c if fc <= fd else d
     v_star = min(fc, fd)
 
     # smallest minimizer: walk the tie plateau to its left edge, skipping
-    # the evaluations the Lipschitz envelope settles (see the docstring)
+    # the evaluations the Lipschitz envelope settles (see mk_estimate)
     tie = v_star + 1e-9
-    lipschitz = spec.hi_mass / (spec.base.scale * math.sqrt(2.0 * math.pi))
+    lo_g, hi_g = float(z[0]) - 6.0 * sigma, float(z[-1]) + 6.0 * sigma
     margin = 1e-12 + 8.0 * lipschitz * math.ulp(max(abs(float(z[0])), abs(float(z[-1]))) + max(abs(lo_g), abs(hi_g)))
-    scan_lb = np.where(np.isfinite(exact), exact, bound)
     skips = 0
 
-    def above(theta: float) -> bool:
+    def above(theta: float):
         nonlocal skips
-        envelope = max(
-            np.max(scan_lb - lipschitz * np.abs(theta - grid)),
-            np.max(np.asarray(seen_j) - lipschitz * np.abs(theta - np.asarray(seen_x))),
-        )
-        if envelope - margin > tie:
+        if seen.at(theta) - margin > tie:
             skips += 1
             return True
-        return objective(theta) > tie
+        return seen.add(theta, (yield theta)) > tie
 
     lo_p, hi_p = lo_g, float(theta_hat)
-    if not above(lo_p):
+    if not (yield from above(lo_p)):
         hi_p = lo_p
     else:
         for _ in range(50):
             mid = 0.5 * (lo_p + hi_p)
-            if above(mid):
+            if (yield from above(mid)):
                 lo_p = mid
             else:
                 hi_p = mid
     return UniEstimate(
         float(hi_p),
         {
-            "m_observed": m,
+            "m_observed": len(z),
             "kolmogorov_value": float(v_star),
             "bracket": bracket,
             "scan_rows_exact": int(np.isfinite(exact).sum()),
-            "objective_evals": len(seen_j),
+            "objective_evals": seen.end - len(grid),
             "plateau_skips": skips,
         },
     )

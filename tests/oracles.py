@@ -7,9 +7,12 @@ unscreened coarse scan that ``mk_estimate``'s screened scan must reproduce
 bit for bit, so it runs the package's exact batch kernel on every grid row;
 ``mk_search_without_skips`` is the search that follows it, with every
 plateau predicate evaluated, which ``mk_estimate`` must reproduce bit for
-bit with fewer evaluations, so it runs the package's scalar kernel; and
-``iterative_robust_descent`` (see below) runs the package's
-``trimmed_mean`` and ``robust_block_descent``.
+bit with fewer evaluations, so it runs the package's scalar kernel;
+``mk_per_direction`` is ``multivariate_mk``'s projected centres found one
+``mk_estimate`` call per direction, which the lockstep search over all
+directions must reproduce bit for bit; and ``iterative_robust_descent``
+(see below) runs the package's ``trimmed_mean`` and
+``robust_block_descent``.
 
 Three paper quantities serve only as references for the tests:
 ``separation_profile``, the distance lower bound between the contamination
@@ -58,6 +61,7 @@ from missingrobust import (
     child_seed,
     dist_to_realisable,
     dist_to_realisable_batch,
+    mk_estimate,
     robust_block_descent,
     trimmed_mean,
 )
@@ -590,6 +594,22 @@ def mk_search_without_skips(summary, epsilon: float, q: float, sigma: float) -> 
             else:
                 lo_p = mid
     return float(hi_p), float(v_star), evals
+
+
+def mk_per_direction(sample, epsilon: float, q: float, Sigma, V) -> list:
+    """``multivariate_mk``'s projected centres, one ``mk_estimate`` call per direction.
+
+    The loop ``multivariate_mk`` ran before its searches ran in lockstep:
+    for each row v of the net ``V``, the sorted projection of the complete
+    rows onto v, searched at scale sqrt(v' Sigma v).  Returns each
+    direction's ``UniEstimate``.
+    """
+    X = sample.values[sample.fully_observed()]
+    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
+    return [
+        mk_estimate(EmpiricalSummary(np.sort(X @ v), sample.n), epsilon, q, math.sqrt(float(v @ Sigma @ v)))
+        for v in V
+    ]
 
 
 def sym_distance_by_all_crossings(summary, spec) -> float:

@@ -70,6 +70,14 @@ class TestGenerate:
             (err,) = capsys.readouterr().err.splitlines()
             assert err.startswith("config error:") and str(bad) in err and "not text" in err
 
+    def test_integer_past_the_conversion_limit_is_exit_one(self, tmp_path, capsys):
+        # json.load refuses an integer literal of more than 4300 digits with a plain ValueError
+        bad = tmp_path / "huge.json"
+        bad.write_text(write_config(tmp_path).read_text().replace('"reps": 2', '"reps": ' + "9" * 5000))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "r.csv")]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error:") and str(bad) in err
+
     def test_missing_config_is_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["generate", "--config", str(missing), "--out", str(tmp_path)]) == 1

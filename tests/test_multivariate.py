@@ -32,7 +32,8 @@ from missingrobust import (
     solve_sdp_approx,
 )
 from missingrobust import multivariate
-from oracles import chebyshev_fit_by_vertices, greedy_net_one_by_one, iterative_robust_descent
+from missingrobust import univariate
+from oracles import chebyshev_fit_by_vertices, greedy_net_one_by_one, iterative_robust_descent, mk_per_direction
 
 
 class TestBlockMeansAndNet:
@@ -327,7 +328,77 @@ class TestMultivariateMk:
             s = self.all_or_nothing_sample([1.5], 500, 0.8, seed=seed)
             got = multivariate_mk(s, 0.2, 0.8, np.eye(1), seed=seed)
             want = mk_estimate(s, 0.2, 0.8, 1.0).value
-            assert abs(got[0] - want) <= 1e-4
+            assert got[0].hex() == want.hex()
+
+    def lockstep_case(self, label, net3):
+        """(sample, epsilon, q, Sigma, seed, net) for ``label``; a net of None is quarter_net's own."""
+        if label.startswith("d2_seed"):
+            seed = int(label[7:])
+            return self.all_or_nothing_sample([0.5, -1.0], 600, 0.8, seed=seed), 0.2, 0.8, np.eye(2), seed, None
+        if label == "d2_sigma":
+            wide = np.array([[2.0, 0.6], [0.6, 0.5]])
+            return self.all_or_nothing_sample([0.0, 0.0], 400, 0.7, seed=3), 0.1, 0.7, wide, 4, None
+        if label == "d3":
+            return self.all_or_nothing_sample([0.0, 1.0, -1.0], 300, 0.8, seed=7), 0.2, 0.8, np.eye(3), 1, net3
+        if label == "m0":
+            return ExtendedArray(np.zeros((5, 2)), np.zeros((5, 2), dtype=bool)), 0.2, 0.8, np.eye(2), 0, None
+        if label == "m1":
+            obs = np.zeros((6, 2), dtype=bool)
+            obs[2] = True
+            return ExtendedArray(np.full((6, 2), 0.75), obs), 0.2, 0.8, np.eye(2), 1, None
+        # every direction's projection is one value 500 times over
+        point = ExtendedArray(np.tile([1.0, -1.0], (500, 1)), np.ones((500, 2), dtype=bool))
+        return point, 0.0, 1.0, 0.01**2 * np.eye(2), 3, None
+
+    @pytest.mark.parametrize("label", ["d2_seed0", "d2_seed5", "d2_seed11", "d2_sigma", "d3", "m0", "m1", "tied"])
+    def test_lockstep_search_matches_per_direction_searches(self, monkeypatch, net3, label):
+        sample, eps, q, Sigma, seed, net = self.lockstep_case(label, net3)
+        if net is not None:
+            monkeypatch.setattr(multivariate, "quarter_net", lambda d, seed: net)
+        lockstep = []
+        search = univariate._mk_search
+        monkeypatch.setattr(multivariate, "_mk_search", lambda *args: lockstep.append(search(*args)) or lockstep[-1])
+        got = multivariate_mk(sample, eps, q, Sigma, seed)
+        V = net if net is not None else quarter_net(sample.d, seed)
+        want = mk_per_direction(sample, eps, q, Sigma, V)
+        (row_estimates,) = lockstep
+        assert [e.value.hex() for e in row_estimates] == [e.value.hex() for e in want]
+        assert [e.meta for e in row_estimates] == [e.meta for e in want]
+        targets = np.array([e.value for e in want])
+        assert got.tobytes() == multivariate._chebyshev_fit(V, targets)[0].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_search_point_whose_shift_overflows_is_a_domain_error(self):
+        # each per-direction search refuses the overflowing shift z - theta,
+        # so the lockstep rounds must, not reconcile the rounded centres
+        X = np.tile([[8e307, -8e307], [-8e307, 8e307], [8e307, 8e307]], (20, 1))
+        sample = ExtendedArray(X, np.ones(X.shape, dtype=bool))
+        with pytest.raises(DomainError, match="observed values must be finite"):
+            mk_per_direction(sample, 0.2, 0.8, np.eye(2), quarter_net(2, seed=0))
+        with pytest.raises(DomainError, match="observed values must be finite"):
+            multivariate_mk(sample, 0.2, 0.8, np.eye(2), seed=0)
+
+    def test_one_kernel_call_per_search_round(self, monkeypatch):
+        # a lockstep round makes one kernel call for all its live directions;
+        # a loop of per-direction searches makes one per direction and point
+        sample = self.all_or_nothing_sample([0.5, -1.0], 600, 0.8, seed=0)
+        calls = {"dist_to_realisable_batch": 0, "dist_to_realisable": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+
+                def counted(*args, _kernel=getattr(univariate, name), _name=name):
+                    calls[_name] += 1
+                    return _kernel(*args)
+
+                patch.setattr(univariate, name, counted)
+            multivariate_mk(sample, 0.2, 0.8, np.eye(2), seed=0)
+        metas = [e.meta for e in mk_per_direction(sample, 0.2, 0.8, np.eye(2), quarter_net(2, seed=0))]
+        assert len(metas) >= 16
+        # the scan: the first exact row of every direction in one call, then
+        # the other exact rows of all directions in 128-row blocks
+        scan_calls = 1 + math.ceil(sum(meta["scan_rows_exact"] - 1 for meta in metas) / 128)
+        assert sum(calls.values()) <= max(meta["objective_evals"] for meta in metas) + scan_calls
+        assert calls["dist_to_realisable_batch"] > scan_calls
 
     def test_degenerate_point_recovery(self):
         n, p = 500, np.array([1.0, -1.0])

@@ -92,6 +92,11 @@ class PatternDistribution:
         if masks.ndim != 2 or masks.shape[1] < 1:
             raise DimensionError("d must be at least 1")
         probs = np.asarray(probs, dtype=float)
+        if probs.shape != masks.shape[:1]:
+            raise DimensionError(f"need one probability per pattern, got {probs.shape} for {len(masks)} patterns")
+        # a NaN entry fails the sign test, an infinite one the sum's
+        if not (np.all(probs >= 0.0) and 0.0 < probs.sum() < np.inf):
+            raise DomainError("pattern probabilities must be finite and nonnegative with a positive sum")
         probs = probs / probs.sum()
         cumprobs = np.cumsum(probs)
         for a in (masks, probs, cumprobs):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DimensionError, DomainError, EstimationError, ModelError, SizeError, check_param
 from .extended import ExtendedArray
@@ -148,57 +149,62 @@ def robust_descent(data, epsilon: float, delta: float, seed: int) -> np.ndarray:
 
 
 # largest d quarter_net builds a net for; scenario configs refuse a larger d
-# for min_kolmogorov_multi at load.  On a 2-CPU machine the d = 4 net (871
-# points) takes about 80 s, and a d = 5 net did not finish in 10 minutes.
+# for min_kolmogorov_multi at load.  On a 2-CPU machine with one BLAS thread
+# the d = 4 net (871 points) takes about 62 s, and a d = 5 net did not
+# finish in 10 minutes.
 _NET_MAX_D = 4
 # consecutive rejections that end the net's candidate loop
 _NET_REJECTIONS = 200_000
 
 
+def _covering_radius(net: np.ndarray) -> float:
+    """Largest distance from a point of the sphere to the unit directions ``net``.
+
+    With the origin strictly inside the convex hull, the farthest points are
+    the outward facet normals, and a facet at offset h leaves a hole of
+    chord sqrt(2 - 2h) at its normal (Brown 1979, "Voronoi diagrams from
+    convex hulls").  Returns inf for a set that Qhull refuses (at most d
+    points among them) or a hull that does not hold the origin strictly
+    inside.
+    """
+    try:
+        # facet rows are (unit outward normal, -h)
+        h = float(np.min(-ConvexHull(net).equations[:, -1]))
+    except QhullError:
+        return math.inf
+    return math.sqrt(2.0 - 2.0 * h) if h > 0.0 else math.inf
+
+
 def quarter_net(d: int, seed: int) -> np.ndarray:
-    """Greedy 1/4-separated net on the unit sphere, certified or audited.
+    """Greedy 1/4-separated net on the unit sphere, certified by its hull.
 
     Returns the net's K unit directions as a read-only (K, d) array.
 
-    Candidates, drawn in batches of 256, are accepted in stream order while
-    farther than 1/4 from every kept point; the loop ends after a run of
-    200000 consecutive rejections.  Each batch is screened against the net
-    kept before it in one broadcast norm; only the candidates that pass are
-    walked in order against the points the same batch accepted, so the net
-    is the one the one-candidate-at-a-time loop keeps, bit for bit.
+    Candidates, drawn in batches of 256 from ``child_seed(seed, 1)``, are
+    accepted in stream order while farther than 1/4 from every kept point;
+    the loop ends after a run of 200000 consecutive rejections.  Each batch
+    is screened against the net kept before it in one broadcast norm; only
+    the candidates that pass are walked in order against the points the
+    same batch accepted, so the net is the one the one-candidate-at-a-time
+    loop keeps, bit for bit.
 
-    At d = 2 the loop can stop as soon as the net provably covers the
-    circle.  After each batch that adds points, sort the angles of the net
-    points and take the widest gap g between neighbours, wrap-around
-    included.  Any unit vector lies within g/2 of a net point in angle, so
-    within the chord 2 sin(g/4) of it; that is the net's exact covering
-    radius.  Once it is below 1/4 - 1e-9, every later candidate is within
-    1/4 of the net and is rejected, so the 200000-rejection loop would keep
-    the same net.  The margin dwarfs the rounding it absorbs, under 1e-14 in
-    all: the normalised net points and candidates have norms within a few
-    ulps of 1, which moves a chord by a few 1e-16; ``arctan2``, the
-    wrap-around sum and the differences move g by a few 1e-15; and
-    ``np.linalg.norm`` adds a few ulps to the distance that the acceptance
-    test compares with 1/4.  The candidate stream (``child_seed(seed, 1)``)
-    is not read after the loop, so stopping early moves no other draw.
-
-    A certified net is returned without the audit below, which could only
-    pass: its bound is 1/4 + 0.02 and the certificate is exact.  Every other
-    net (d >= 3, or a d = 2 loop that ends on the rejection count) gets a
-    1e5-direction sample audit from ``child_seed(seed, 2)`` that checks it
-    covers the sphere to 1/4 + 0.02.
+    After each batch that adds points, the loop stops once the net's exact
+    covering radius (``_covering_radius``) is below 1/4 - 1e-9: every later
+    candidate would be rejected, so the net is the full loop's.  The margin
+    dwarfs the rounding it absorbs: norms a few ulps from 1, Qhull's facet
+    offsets (within 1.3e-15 of the angular-gap radius at d = 2) and the ulps
+    ``np.linalg.norm`` adds to the distance compared with 1/4.  A loop that
+    ends on the rejection count raises ``EstimationError`` if the radius
+    exceeds 1/4 + 0.02.
     """
-    if d < 1:
-        raise DomainError(f"d must be at least 1, got {d}")
+    if d < 2:
+        raise DomainError(f"d must be at least 2, got {d}")
     if d > _NET_MAX_D:
         raise SizeError(f"net construction capped at d = {_NET_MAX_D}, got {d}")
-    if d == 1:
-        net = np.array([[-1.0], [1.0]])
-        net.setflags(write=False)
-        return net
 
     cand_stream = Stream(child_seed(seed, 1))
     net = np.empty((0, d))
+    radius = math.inf
     rejections = 0
     while rejections < _NET_REJECTIONS:
         batch = cand_stream.normals(256 * d).reshape(256, d)
@@ -226,23 +232,11 @@ def quarter_net(d: int, seed: int) -> np.ndarray:
             rejections += len(batch) - 1 - prev
         if added:
             net = np.vstack([net, added])
-            if d == 2:
-                angles = np.sort(np.arctan2(net[:, 1], net[:, 0]))
-                widest = np.max(np.diff(angles, append=angles[0] + 2.0 * np.pi))
-                if 2.0 * math.sin(widest / 4.0) < 0.25 - 1e-9:
-                    net.setflags(write=False)
-                    return net
-
-    audit = Stream(child_seed(seed, 2)).normals(10**5 * d).reshape(10**5, d)
-    audit /= np.linalg.norm(audit, axis=1, keepdims=True)
-    # nearest-net distance via the max inner product, chunked for memory
-    worst = 0.0
-    for start in range(0, len(audit), 10_000):
-        chunk = audit[start : start + 10_000]
-        best_dot = np.max(chunk @ net.T, axis=1)
-        worst = max(worst, float(np.max(np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0)))))
-    if worst > 0.25 + 0.02:
-        raise EstimationError(f"net coverage audit failed: worst gap {worst:.4f}")
+            radius = _covering_radius(net)
+            if radius < 0.25 - 1e-9:
+                break
+    if radius > 0.25 + 0.02:
+        raise EstimationError(f"quarter net covers the sphere only to {radius:.4f}, beyond 1/4 + 0.02")
     net.setflags(write=False)
     return net
 

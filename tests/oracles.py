@@ -32,6 +32,10 @@ symmetrised distance minimised over every pairwise crossing of its pieces,
 the search that the package kernel's closed form proves unnecessary: it
 shares only ``ChainBounds`` with the kernel.
 
+``circle_covering_radius`` and ``facet_vertex_radius`` recompute the
+quarter net's covering radius by the widest angular gap and from each hull
+facet's own vertices, against the package's facet offsets.
+
 ``iterative_robust_descent`` is the paper's descent for means with missing
 coordinates.  It lives here rather than in the package because its
 analysis constants (a2 = 300, a3 = 180000) need n >= 1,723,500 at
@@ -47,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 from scipy.special import ndtr, ndtri
 
 from missingrobust import (
@@ -208,6 +213,36 @@ def greedy_net_one_by_one(candidate_stream, d: int) -> np.ndarray:
                 if rejections >= limit:
                     break
     return np.asarray(kept)
+
+
+def circle_covering_radius(net) -> float:
+    """Covering radius of unit directions on the circle, from their angles.
+
+    Every point of the circle lies within half the widest angular gap g
+    between neighbouring directions, wrap-around included, so within the
+    chord 2 sin(g/4) of one of them.
+    """
+    angles = sorted(math.atan2(y, x) for x, y in net)
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + 2.0 * math.pi - angles[-1])
+    return 2.0 * math.sin(max(gaps) / 4.0)
+
+
+def facet_vertex_radius(net) -> float:
+    """Covering radius of unit directions, from each hull facet's own vertices.
+
+    Only the facet list comes from Qhull.  A facet's d vertices P fix its
+    plane as n . x = 1 with n = P^-1 1; with the origin inside the hull,
+    u = n / |n| is the outward normal, and the hole there has the chord
+    |u - p| to every vertex p.  The covering radius is the largest hole.
+    """
+    V = np.asarray(net, dtype=float)
+    worst = 0.0
+    for simplex in ConvexHull(V).simplices:
+        P = V[simplex]
+        n = np.linalg.solve(P, np.ones(len(P)))
+        worst = max(worst, float(np.max(np.linalg.norm(P - n / np.linalg.norm(n), axis=1))))
+    return worst
 
 
 def iterative_robust_descent(sample, epsilon: float, delta: float, a2: float, a3: float, seed: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from missingrobust import (
+    DimensionError,
     DomainError,
     ExtendedArray,
     PatternDistribution,
@@ -135,6 +136,20 @@ class TestPatternDistribution:
     def test_independent_caps_dimension(self):
         with pytest.raises(SizeError):
             PatternDistribution.independent(17, 0.5)
+
+    @pytest.mark.parametrize(
+        "probs, error",
+        [
+            ([0.5], DimensionError),
+            ([-1.0, 2.0], DomainError),
+            ([0.0, 0.0], DomainError),
+            ([float("nan"), 1.0], DomainError),
+            ([float("inf"), 1.0], DomainError),
+        ],
+    )
+    def test_bad_probs_are_refused(self, probs, error):
+        with pytest.raises(error):
+            PatternDistribution([[True], [False]], probs)
 
     def test_sample_masks_frequency(self):
         pi = PatternDistribution.independent(2, [0.3, 0.9])

@@ -33,7 +33,14 @@ from missingrobust import (
 )
 from missingrobust import multivariate
 from missingrobust import univariate
-from oracles import chebyshev_fit_by_vertices, greedy_net_one_by_one, iterative_robust_descent, mk_per_direction
+from oracles import (
+    chebyshev_fit_by_vertices,
+    circle_covering_radius,
+    facet_vertex_radius,
+    greedy_net_one_by_one,
+    iterative_robust_descent,
+    mk_per_direction,
+)
 
 
 class TestBlockMeansAndNet:
@@ -220,9 +227,10 @@ def net3():
 
 
 class TestQuarterNet:
-    def test_one_dimensional_net_is_sign_pair(self):
-        net = quarter_net(1, seed=0)
-        assert sorted(net[:, 0]) == [-1.0, 1.0]
+    def test_nets_below_two_dimensions_are_refused(self):
+        for d in (0, 1):
+            with pytest.raises(DomainError, match="at least 2"):
+                quarter_net(d, seed=0)
 
     def test_deterministic_in_seed(self, net2):
         assert np.array_equal(quarter_net(2, seed=1), net2)
@@ -238,13 +246,17 @@ class TestQuarterNet:
             assert G.min() > 0.25
 
     # sha256 of directions.tobytes(), taken from the one-candidate-at-a-time
-    # loop at commit dbbfb04; any drift in the net's bytes fails here
+    # loop at commit dbbfb04, and for (3, 4) and (3, 7), whose loops the hull
+    # certificate stops early, at commit 854b3b4 with the sampled audit;
+    # any drift in the net's bytes fails here
     PINNED = {
         (2, 0): "9d6a8c61fc9ab187f3989e165fb09af14f4f751a9ea663a861d9adffecd74016",
         (2, 1): "abd56da06baea51f1931298348d770bc7818f7235956601c49606e330d32736d",
         (2, 2): "a044425d7d308b46d06f0cb870bddd73f88debcf365845c5e85fc2a45d3fca6e",
         (2, 3): "53e05bb2c6f7eb14f38e0c2d2c9df47862aa58a021984e4d8e1807d05fd46c61",
         (3, 1): "6698528921397e67fbb7a8f8240aa0fc2b09efcfa958dcb669c85ee7eef47fe8",
+        (3, 4): "acd5c789e393536713697918f47cbfec9b3f69a3fd554292fa0f5de9451521dd",
+        (3, 7): "aa5723755cb3d0f0d31632fa4bd1a662dfb5f3ea91158a13f3b9472d1b736d53",
     }
 
     def test_pinned_bytes(self, net2, net3):
@@ -258,14 +270,24 @@ class TestQuarterNet:
         assert quarter_net(2, seed=7).tobytes() == want.tobytes()
 
     def test_circle_nets_cover_exactly(self):
-        # covering radius of a circle net: the chord over half the widest
-        # angular gap between neighbours, recomputed here from the angles
+        # the hull's largest hole is the angular-gap chord and each facet's own chord
         for seed in range(40):
             net = quarter_net(2, seed=seed)
-            angles = sorted(math.atan2(y, x) for x, y in net)
-            gaps = [b - a for a, b in zip(angles, angles[1:])]
-            gaps.append(angles[0] + 2.0 * math.pi - angles[-1])
-            assert 2.0 * math.sin(max(gaps) / 4.0) <= 0.25, seed
+            radius = multivariate._covering_radius(net)
+            assert radius <= 0.25, seed
+            assert radius == pytest.approx(circle_covering_radius(net), abs=1e-12), seed
+            assert radius == pytest.approx(facet_vertex_radius(net), abs=1e-12), seed
+
+    def test_covering_radius_is_inf_without_a_hull_around_the_origin(self):
+        def circle(*angles):
+            return np.array([[math.cos(a), math.sin(a)] for a in angles])
+
+        around = circle(0.0, 2.0, 4.0)
+        assert multivariate._covering_radius(around) == pytest.approx(circle_covering_radius(around), abs=1e-12)
+        flat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        # at most d points; a flat set Qhull refuses; the origin on an edge; the origin outside
+        for net in (np.eye(3), flat, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), circle(0.0, 0.5, 1.0)):
+            assert multivariate._covering_radius(net) == math.inf
 
     def test_certificate_ends_the_loop_and_skips_the_audit(self, monkeypatch):
         built: list[int] = []
@@ -285,23 +307,23 @@ class TestQuarterNet:
         assert built == [child_seed(1, 1)]
         assert drawn[child_seed(1, 1)] < 10_000 * 2
 
-        # d = 3 has no certificate: the loop runs to the count, then the
-        # audit draws its 1e5 directions, and it still refuses a thin net
+        # a loop cut short by the count leaves a d = 3 net with a hole
+        # beyond 1/4 + 0.02, refused without a second stream
         monkeypatch.setattr(multivariate, "_NET_REJECTIONS", 2000)
         built.clear()
-        quarter_net(3, seed=1)
-        assert built == [child_seed(1, 1), child_seed(1, 2)]
-        assert drawn[child_seed(1, 2)] == 10**5 * 3
-        with pytest.raises(EstimationError, match="net coverage audit failed"):
+        with pytest.raises(EstimationError, match="covers the sphere only to"):
             quarter_net(3, seed=0)
+        assert built == [child_seed(0, 1)]
 
     def test_coverage(self, net3):
-        dirs = Stream(5).normals(2000 * 3).reshape(2000, 3)
+        radius = multivariate._covering_radius(net3)
+        assert radius <= 0.27
+        assert radius == pytest.approx(facet_vertex_radius(net3), abs=1e-12)
+        dirs = Stream(5).normals(20_000 * 3).reshape(20_000, 3)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        dmin = np.min(
-            np.linalg.norm(dirs[:, None, :] - net3[None, :, :], axis=2), axis=1
-        )
-        assert dmin.max() <= 0.27
+        # chord to the nearest net point, from the largest inner product
+        dmin = np.sqrt(2.0 - 2.0 * np.max(dirs @ net3.T, axis=1))
+        assert dmin.max() <= radius
 
 
 class TestMultivariateMk:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -53,6 +54,7 @@ from .models import (
     all_star_contaminant,
     point_contaminant,
     sample_regression,
+    write_dataset,
 )
 from .multivariate import (
     _NET_MAX_D,
@@ -99,7 +101,6 @@ _REGRESSION = ("ks_regression", "ols_observed")
 ESTIMATORS = _UNIVARIATE + _MULTIVARIATE + _REGRESSION
 
 _VECTOR_KINDS = ("mcar", "realisable", "arbitrary")
-_MODEL_KINDS = _VECTOR_KINDS + ("f1_adversary", "two_point", "regression")
 
 
 @dataclass(frozen=True)
@@ -261,35 +262,96 @@ def _check_range(key: str, value, where: str) -> None:
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _model_value(section: dict, path: str, default, ok, want: str):
-    """The entry of ``section`` named by the last part of the dotted ``path``.
+def _probability(x) -> bool:
+    return _is_number(x) and 0.0 <= x <= 1.0
 
-    Falls back to ``default`` when the entry is absent (a ``None`` default
-    makes the entry required) and raises a ``ConfigError`` naming ``path``
-    when the entry is missing or ``ok`` rejects the value.
+
+def _one_of(*choices) -> tuple:
+    """The test and the words of a key that takes one of ``choices``."""
+    return (lambda v: v in choices), " or ".join(map(repr, choices))
+
+
+# Key tables: each branch of a model section maps the keys it reads, in the
+# order it reads them, to (default, test, what the test wants); a None
+# default makes the key required.  A key whose test is a key table is a
+# nested section, its branch picked by its 'name'.  Checks that tie a value
+# to another value or to the grid cell are left to the build.
+_FINITE = (_is_finite, "a finite number")
+_MECHANISMS = {
+    "constant": {"c": (1.0, _probability, "a number in [0, 1]")},
+    "threshold_above": {"t": (0.0, *_FINITE)},
+    "threshold_below": {"t": (0.0, *_FINITE)},
+    "tails_only": {"t": (1.0, *_FINITE)},
+    "custom": {
+        "knots": (
+            None,
+            lambda v: _is_finite_list(v) and all(a < b for a, b in zip(v, v[1:])),
+            "a strictly increasing list of finite numbers",
+        ),
+        "levels": (None, lambda v: isinstance(v, list) and all(map(_probability, v)), "a list of numbers in [0, 1]"),
+    },
+}
+_CONTAMINANTS = {
+    "all_star": {},
+    "point": {
+        "value": (0.0, lambda v: _is_finite(v) or _is_finite_list(v), "a finite number or a list of finite numbers")
+    },
+}
+_KINDS = {
+    "mcar": {"theta0": (0.0, *_FINITE), "pattern": ("independent", *_one_of("independent", "all_or_nothing"))},
+    "realisable": {"theta0": (0.0, *_FINITE), "mechanism": ({"name": "constant"}, _MECHANISMS, None)},
+    "arbitrary": {"theta0": (0.0, *_FINITE), "contaminant": ({"name": "all_star"}, _CONTAMINANTS, None)},
+    "f1_adversary": {
+        "law": ("f1", *_one_of("f1", "f2")),
+        "a": (None, lambda v: _is_finite(v) and v > 0, "a positive number"),
+    },
+    "two_point": {
+        "r": (2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2"),
+        "which": (1, lambda v: _is_int(v) and v in (1, 2), "1 or 2"),
+    },
+    "regression": {
+        "theta0": (None, _is_finite_list, "a list of finite numbers"),
+        "design": ("intercept_gaussian", *_one_of("gaussian", "intercept_gaussian")),
+        "mechanism2": ({"name": "constant"}, {"constant": _MECHANISMS["constant"], "residual_above": {}}, None),
+    },
+}
+_MODEL_KINDS = tuple(_KINDS)
+# the reveal mechanism of each name that reads one number
+_SCALAR_MECHANISMS = dict(
+    constant=Constant, threshold_above=ThresholdAbove, threshold_below=ThresholdBelow, tails_only=TailsOnly
+)
+
+
+def _read_section(section, path: str, tag: str, branches: dict) -> tuple[str, dict]:
+    """The branch of config section ``path`` that its ``tag`` picks from ``branches``, and its values.
+
+    The values map each key of the branch's key table to the key's value or
+    default; a nested section's value is its own (branch, values) pair.
+    Unknown keys are refused before any value is read, and every refusal is
+    a ``ConfigError`` naming the dotted key.
     """
-    parent, key = path.rsplit(".", 1)
-    _require(key in section or default is not None, f"{parent} needs key {key!r} ({path} must be {want})")
-    value = section.get(key, default)
-    _require(ok(value), f"{path} must be {want}, got {value!r}")
-    return value
-
-
-def _section_name(section, path: str) -> str:
-    """The ``name`` of the model section at dotted ``path``, which must be a string."""
-    _require(isinstance(section, dict), f"{path} must be an object with a 'name'")
-    return _model_value(section, f"{path}.name", None, lambda v: isinstance(v, str), "a string")
-
-
-def _only_keys(section: dict, path: str, tag: str, *keys: str) -> None:
-    """``ConfigError`` naming each key of section ``path`` that the branch
-    picked by ``section[tag]`` does not read (it reads ``tag`` and ``keys``)."""
+    _require(isinstance(section, dict), f"{path} must be an object with a {tag!r}")
+    _require(tag in section, f"{path} needs key {tag!r} ({path}.{tag} must be a string)")
+    name = section[tag]
+    _require(isinstance(name, str), f"{path}.{tag} must be a string, got {name!r}")
+    noun = "model kind" if tag == "kind" else path.rsplit(".", 1)[1]
+    _require(name in branches, f"unknown {noun} {name!r}; known: {', '.join(branches)}")
+    keys = branches[name]
     unknown = [f"{path}.{k}" for k in section if k != tag and k not in keys]
     _require(
         not unknown,
-        f"{path} {tag} {section[tag]!r} takes no key {', '.join(unknown)} "
-        f"(it reads {', '.join((tag,) + keys)})",
+        f"{path} {tag} {name!r} takes no key {', '.join(unknown)} (it reads {', '.join([tag, *keys])})",
     )
+    values = {}
+    for key, (default, test, want) in keys.items():
+        _require(key in section or default is not None, f"{path} needs key {key!r} ({path}.{key} must be {want})")
+        value = section.get(key, default)
+        if isinstance(test, dict):
+            values[key] = _read_section(value, f"{path}.{key}", "name", test)
+        else:
+            _require(test(value), f"{path}.{key} must be {want}, got {value!r}")
+            values[key] = value
+    return name, values
 
 
 @dataclass(frozen=True)
@@ -396,7 +458,7 @@ class ScenarioConfig:
             if name == "min_kolmogorov_multi" and any(d > 1 for d in ds):
                 # arbitrary cells mask each coordinate, leaving rows partly observed at q < 1
                 per_coordinate = (
-                    kind == "mcar" and self.model.get("pattern", "independent") != "all_or_nothing"
+                    kind == "mcar" and self.model.get("pattern", _KINDS["mcar"]["pattern"][0]) != "all_or_nothing"
                 ) or (kind == "arbitrary" and min(self.grid["q"]) < 1.0)
                 _require(
                     not per_coordinate,
@@ -412,65 +474,6 @@ class ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # model construction per grid cell
-
-
-def _probability(x) -> bool:
-    return _is_number(x) and 0.0 <= x <= 1.0
-
-
-# mechanisms that read one threshold ``t``: class and default threshold
-_THRESHOLD_MECHANISMS = {
-    "threshold_above": (ThresholdAbove, 0.0),
-    "threshold_below": (ThresholdBelow, 0.0),
-    "tails_only": (TailsOnly, 1.0),
-}
-
-
-def _build_mechanism(mdict) -> object:
-    name = _section_name(mdict, "model.mechanism")
-    if name == "constant":
-        _only_keys(mdict, "model.mechanism", "name", "c")
-        return Constant(float(_model_value(mdict, "model.mechanism.c", 1.0, _probability, "a number in [0, 1]")))
-    if name in _THRESHOLD_MECHANISMS:
-        _only_keys(mdict, "model.mechanism", "name", "t")
-        cls, default = _THRESHOLD_MECHANISMS[name]
-        return cls(float(_model_value(mdict, "model.mechanism.t", default, _is_finite, "a finite number")))
-    if name == "custom":
-        _only_keys(mdict, "model.mechanism", "name", "knots", "levels")
-        knots = _model_value(
-            mdict,
-            "model.mechanism.knots",
-            None,
-            lambda v: _is_finite_list(v) and all(a < b for a, b in zip(v, v[1:])),
-            "a strictly increasing list of finite numbers",
-        )
-        levels = _model_value(
-            mdict,
-            "model.mechanism.levels",
-            None,
-            lambda v: isinstance(v, list) and len(v) == len(knots) + 1 and all(map(_probability, v)),
-            f"a list of {len(knots) + 1} numbers in [0, 1] (one more than knots)",
-        )
-        return Custom(np.asarray(knots, dtype=float), np.asarray(levels, dtype=float))
-    raise ConfigError(f"unknown mechanism {name!r}")
-
-
-def _build_contaminant(cdict, d: int) -> object:
-    name = _section_name(cdict, "model.contaminant")
-    if name == "all_star":
-        _only_keys(cdict, "model.contaminant", "name")
-        return all_star_contaminant(d)
-    if name == "point":
-        _only_keys(cdict, "model.contaminant", "name", "value")
-        value = _model_value(
-            cdict,
-            "model.contaminant.value",
-            0.0,
-            lambda v: _is_finite(v) or (_is_finite_list(v) and len(v) in (1, d)),
-            f"a finite number or a list of {d} finite numbers",
-        )
-        return point_contaminant(np.broadcast_to(np.asarray(value, dtype=float), (d,)))
-    raise ConfigError(f"unknown contaminant {name!r}")
 
 
 def _independent_pattern(d: int, q: float) -> PatternDistribution:
@@ -493,50 +496,52 @@ class _CellModel:
     call, so a wrapper set on their class after load sees every draw.  Each
     branch sets ``label``, the ``scenario`` value of the cell's records.
 
-    Every model key is read through ``_model_value``, each branch (model
-    kind, mechanism, contaminant) refuses the keys it does not read, and
-    each model kind's rules on the grid cell are checked in its branch, so
-    a bad config is a ``ConfigError`` naming its key.
+    The model section is read once against the key tables (``_read_section``);
+    each branch then checks only what ties one value to another or to the
+    grid cell, so a bad config is a ``ConfigError`` naming its key.
     ``ScenarioConfig.from_dict`` builds each cell once and keeps it; a built
     cell holds no random state and pickles, so it serves every replication
     in any process.
     """
 
     def __init__(self, model: dict, n: int, d: int, epsilon: float, q: float, sigma: float):
-        self.kind = model["kind"]
-        self.n, self.d = n, d
+        kind, v = _read_section(model, "model", "kind", _KINDS)
+        self.kind, self.n, self.d = kind, n, d
         self.epsilon, self.q, self.sigma = epsilon, q, sigma
-        kind = self.kind
 
         if kind in _VECTOR_KINDS:
-            center = float(_model_value(model, "model.theta0", 0.0, _is_finite, "a finite number"))
-            base = Gaussian(np.full(d, center), sigma**2 * np.eye(d))
+            base = Gaussian(np.full(d, float(v["theta0"])), sigma**2 * np.eye(d))
             if kind == "mcar":
-                _only_keys(model, "model", "kind", "theta0", "pattern")
-                pattern_name = _model_value(
-                    model,
-                    "model.pattern",
-                    "independent",
-                    lambda v: v in ("independent", "all_or_nothing"),
-                    "'independent' or 'all_or_nothing'",
-                )
                 _require(epsilon == 0.0, f"mcar model requires grid.epsilon == [0.0], got {epsilon}")
-                pi = (
-                    PatternDistribution.all_or_nothing(d, q)
-                    if pattern_name == "all_or_nothing"
-                    else _independent_pattern(d, q)
-                )
+                all_or_nothing = v["pattern"] == "all_or_nothing"
+                pi = PatternDistribution.all_or_nothing(d, q) if all_or_nothing else _independent_pattern(d, q)
                 self.source = ContaminationSpec("mcar", base, 0.0, pi)
                 self.label = "mcar:gaussian"
             elif kind == "realisable":
-                _only_keys(model, "model", "kind", "theta0", "mechanism")
-                mdict = model.get("mechanism", {"name": "constant", "c": 1.0})
-                mech = _build_mechanism(mdict)
+                name, m = v["mechanism"]
+                if name == "custom":
+                    levels = m["levels"]
+                    _require(
+                        len(levels) == len(m["knots"]) + 1,
+                        f"model.mechanism.levels must have one more entry than knots, got {levels!r}",
+                    )
+                    mech = Custom(m["knots"], levels)
+                else:
+                    mech = _SCALAR_MECHANISMS[name](*map(float, m.values()))
                 self.source = ContaminationSpec("realisable", base, epsilon, q, mechanism=mech)
-                self.label = f"realisable:gaussian:{mdict['name']}"
+                self.label = f"realisable:gaussian:{name}"
             else:
-                _only_keys(model, "model", "kind", "theta0", "contaminant")
-                cont = _build_contaminant(model.get("contaminant", {"name": "all_star"}), d)
+                name, c = v["contaminant"]
+                if name == "all_star":
+                    cont = all_star_contaminant(d)
+                else:
+                    value = c["value"]
+                    _require(
+                        _is_finite(value) or len(value) in (1, d),
+                        f"model.contaminant.value must be a finite number or a list of {d} finite numbers, "
+                        f"got {value!r}",
+                    )
+                    cont = point_contaminant(np.broadcast_to(np.asarray(value, dtype=float), (d,)))
                 pi = _independent_pattern(d, q)
                 self.source = ContaminationSpec("arbitrary", base, epsilon, pi, contaminant=cont)
                 self.label = "arbitrary:gaussian:atoms"
@@ -545,42 +550,20 @@ class _CellModel:
             _require(d == 1, f"model kind {kind!r} is univariate but grid.d = {d}")
             _require(epsilon > 0.0, f"model kind {kind!r} needs epsilon > 0, got {epsilon}")
             if kind == "f1_adversary":
-                _only_keys(model, "model", "kind", "law", "a")
-                law_name = _model_value(model, "model.law", "f1", lambda v: v in ("f1", "f2"), "'f1' or 'f2'")
-                a = _model_value(model, "model.a", None, lambda v: _is_finite(v) and v > 0, "a positive number")
-                self.source = AdversaryLaw(law_name, float(a), sigma, epsilon, q)
+                self.source = AdversaryLaw(v["law"], float(v["a"]), sigma, epsilon, q)
                 self.theta0 = np.atleast_1d(np.asarray(self.source.base.mean(), dtype=float))
-                self.label = f"f1_adversary:{law_name}"
+                self.label = f"f1_adversary:{v['law']}"
             else:
-                _only_keys(model, "model", "kind", "r", "which")
-                r = _model_value(model, "model.r", 2.0, lambda v: _is_finite(v) and v >= 2.0, "a number >= 2")
-                which = _model_value(model, "model.which", 1, lambda v: _is_int(v) and v in (1, 2), "1 or 2")
-                self.source, theta = adversary_two_point(float(r), sigma, epsilon, q)[which - 1]
+                self.source, theta = adversary_two_point(float(v["r"]), sigma, epsilon, q)[v["which"] - 1]
                 self.theta0 = np.array([theta])
-                self.label = f"two_point:{which}"
+                self.label = f"two_point:{v['which']}"
         else:
-            _only_keys(model, "model", "kind", "theta0", "design", "mechanism2")
-            theta0 = _model_value(model, "model.theta0", None, _is_finite_list, "a list of finite numbers")
+            theta0 = v["theta0"]
             _require(len(theta0) == d, f"regression grid.d = {d} must equal len(theta0) = {len(theta0)}")
             self.theta0 = np.asarray(theta0, dtype=float)
-            self.design = _model_value(
-                model,
-                "model.design",
-                "intercept_gaussian",
-                lambda v: v in ("gaussian", "intercept_gaussian"),
-                "'gaussian' or 'intercept_gaussian'",
-            )
-            m2 = model.get("mechanism2", {"name": "constant", "c": 1.0})
-            m2_name = _section_name(m2, "model.mechanism2")
-            if m2_name == "constant":
-                _only_keys(m2, "model.mechanism2", "name", "c")
-                c = _model_value(m2, "model.mechanism2.c", 1.0, _probability, "a number in [0, 1]")
-                self.mechanism2 = float(c)
-            elif m2_name == "residual_above":
-                _only_keys(m2, "model.mechanism2", "name")
-                self.mechanism2 = partial(_residual_above, self.theta0)
-            else:
-                raise ConfigError(f"unknown mechanism2 {m2_name!r}")
+            self.design = v["design"]
+            name, m2 = v["mechanism2"]
+            self.mechanism2 = float(m2["c"]) if name == "constant" else partial(_residual_above, self.theta0)
             self.label = f"regression:{self.design}"
 
     def sample(self, seed: int) -> ExtendedArray:
@@ -657,10 +640,6 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> list[Res
 
 def generate_datasets(config: ScenarioConfig, out_dir) -> list[str]:
     """Dump every cell x rep sample as a TAB dataset; returns the paths."""
-    import os
-
-    from .models import write_dataset
-
     paths = []
     for ci, cell, rep, rep_seed in _replications(config):
         name = f"{cell.label.replace(':', '_')}_c{ci:03d}_r{rep:03d}.tsv"
@@ -710,11 +689,7 @@ def rate_table(records, delta: float = 0.1) -> list[dict]:
             n: (empirical_quantile(errs, delta) if errs else None) for n, errs in sorted(cell.items())
         }
         pts = [(math.log(n), math.log(qv)) for n, qv in quants.items() if qv is not None and qv > 0]
-        if len(pts) >= 2:
-            lx, ly = np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
-            slope = float(np.polyfit(lx, ly, 1)[0])
-        else:
-            slope = None
+        slope = float(np.polyfit(*np.array(pts).T, 1)[0]) if len(pts) >= 2 else None
         for n, qv in quants.items():
             row = dict(zip(_GROUP_COLS, key))
             row.update({"n": n, "quantile": qv, "slope": slope})

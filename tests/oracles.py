@@ -338,14 +338,6 @@ def upper_median(values) -> float:
     return float(v[len(v) // 2])
 
 
-def gaussian_partial_moment(centre: float, sigma: float, lo: float, hi: float) -> float:
-    """Integral of x * gaussian(centre, sigma) density over (lo, hi)."""
-    from scipy.stats import norm
-
-    zl, zh = (lo - centre) / sigma, (hi - centre) / sigma
-    return centre * (norm.cdf(zh) - norm.cdf(zl)) + sigma * (norm.pdf(zl) - norm.pdf(zh))
-
-
 def gaussian_pdf(base, x):
     """Density of a univariate ``Gaussian`` base."""
     z = (np.asarray(x, dtype=float) - base.theta[0]) / base.scale

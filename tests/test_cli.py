@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import missingrobust
 from missingrobust import child_seed, observed_mean, read_dataset, read_records_csv, run_scenario
 from missingrobust.cli import main
-from missingrobust.harness import CSV_HEADER, ESTIMATORS, ScenarioConfig
+from missingrobust.harness import _KINDS, CSV_HEADER, ESTIMATORS, ScenarioConfig
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -469,7 +469,7 @@ def _fuzz_config(model, estimators, **grid):
     }
 
 
-# one tiny valid config per model kind (two for realisable, to reach the custom mechanism's keys)
+# one tiny valid config per branch of the harness key tables; together they spell out every key
 _FUZZ_CONFIGS = {
     "mcar": _fuzz_config(
         {"kind": "mcar", "theta0": 0.0, "pattern": "independent"},
@@ -489,6 +489,18 @@ _FUZZ_CONFIGS = {
         ["complete_case_mean", "robust_descent"],
         d=[2],
     ),
+    "realisable_constant": _fuzz_config(
+        {"kind": "realisable", "mechanism": {"name": "constant", "c": 0.5}}, ["observed_mean", "trimmed_mean"]
+    ),
+    "realisable_threshold_below": _fuzz_config(
+        {"kind": "realisable", "mechanism": {"name": "threshold_below", "t": 0.5}}, ["median_of_means"]
+    ),
+    "realisable_tails_only": _fuzz_config(
+        {"kind": "realisable", "mechanism": {"name": "tails_only", "t": 1.0}}, ["average_of_extremes"]
+    ),
+    "arbitrary_all_star": _fuzz_config(
+        {"kind": "arbitrary", "contaminant": {"name": "all_star"}}, ["min_kolmogorov_multi"], d=[2], q=[1.0]
+    ),
     "f1_adversary": _fuzz_config(
         {"kind": "f1_adversary", "law": "f1", "a": 1.0}, ["observed_mean", "median_of_means"]
     ),
@@ -503,6 +515,9 @@ _FUZZ_CONFIGS = {
         ["ols_observed"],
         d=[2],
     ),
+    "regression_residual_above": _fuzz_config(
+        {"kind": "regression", "theta0": [0.5, 1.0], "mechanism2": {"name": "residual_above"}}, ["ks_regression"], d=[2]
+    ),
 }
 
 
@@ -514,6 +529,41 @@ def _key_paths(section, prefix=""):
 
 
 _FUZZ_KEYS = [(label, path) for label, cfg in _FUZZ_CONFIGS.items() for path in _key_paths(cfg)]
+
+
+def _table_keys(path, tag, table):
+    """(section path, branch, key) of every key a harness key table reads, its tag among them."""
+    for branch, keys in table.items():
+        yield path, branch, tag
+        for key, (_, test, _) in keys.items():
+            yield path, branch, key
+            if isinstance(test, dict):  # a nested section
+                yield from _table_keys(f"{path}.{key}", "name", test)
+
+
+def test_fuzz_keys_reach_every_key_of_the_key_tables():
+    """Every key of every branch is mutated by some fuzz case, so a key added to a table is fuzzed too."""
+    reached = set()
+    for label, path in _FUZZ_KEYS:
+        *parents, key = path.split(".")
+        if parents[:1] == ["model"]:
+            section = _FUZZ_CONFIGS[label]
+            for part in parents:
+                section = section[part]
+            reached.add((".".join(parents), section["kind" if parents == ["model"] else "name"], key))
+    missing = set(_table_keys("model", "kind", _KINDS)) - reached
+    assert not missing, sorted(missing)
+
+
+def test_readme_scenario_configs_name_every_branch_and_key():
+    """The documented config surface cannot drift from the key tables the harness reads."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
+    names = {name for _, branch, key in _table_keys("model", "kind", _KINDS) for name in (branch, key)}
+    missing = sorted(name for name in names if f"`{name}`" not in section)
+    assert not missing, f"README's Scenario configs section does not name {missing}"
+
+
 _DELETE = "<key deleted>"
 # hostile JSON values; json.dumps writes the non-finite floats as Infinity and NaN, which json.load reads back
 _HOSTILE = [

@@ -19,6 +19,7 @@ and worker-pool runs, which would break byte-identical output.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -99,6 +100,12 @@ _UNIVARIATE = ("observed_mean", "average_of_extremes", "median_of_means", "trimm
 _MULTIVARIATE = ("complete_case_mean", "robust_descent", "min_kolmogorov_multi")
 _REGRESSION = ("ks_regression", "ols_observed")
 ESTIMATORS = _UNIVARIATE + _MULTIVARIATE + _REGRESSION
+# modules an estimator imports on its first call, not at package import; a
+# pooled run loads them before it forks, so its workers inherit them
+_DEFERRED_IMPORTS = {
+    "min_kolmogorov_multi": ("scipy.optimize", "scipy.spatial"),
+    "ks_regression": ("scipy.optimize",),
+}
 
 _VECTOR_KINDS = ("mcar", "realisable", "arbitrary")
 
@@ -621,13 +628,19 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> list[Res
     ``fork`` start method every worker is started up front, so a large
     ``workers`` on a small config would fork processes that get no work.
     The merged output is sorted on the full record key, so worker count
-    never changes the result.
+    never changes the result.  Before it builds the pool, a pooled run loads
+    the modules its estimators import on first call (``_DEFERRED_IMPORTS``:
+    scipy.optimize and scipy.spatial), so forked workers inherit them rather
+    than each importing its own copy.
     """
     tasks = [
         (cell, config.estimators, config.delta, rep, rep_seed)
         for _, cell, rep, rep_seed in _replications(config)
     ]
     if workers is not None and workers > 1:
+        for name in config.estimators:
+            for module in _DEFERRED_IMPORTS.get(name, ()):
+                importlib.import_module(module)
         chunksize = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=min(workers, math.ceil(len(tasks) / chunksize))) as pool:
             results = list(pool.map(_run_task, *zip(*tasks), chunksize=chunksize))

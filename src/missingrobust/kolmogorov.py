@@ -286,8 +286,8 @@ def dist_to_realisable_sym(summary: EmpiricalSummary, spec: RealisableSetSpec) -
     lo, hi = bounds.prefix_lower[m], bounds.prefix_upper[m]
     gap = lo - m / n
     shift = max(gap, 0.0)
-    e = np.arange(m + 1) / n  # e[k] = k/n
-    P, Q, D = e[1:] - SL, e[:-1] - SU, SL - SU
+    e, f = _all_windows(m, n)  # the cached k/n and (k-1)/n at nodes 1..m+1
+    P, Q, D = e[:m] - SL, f[:m] - SU, SL - SU
     G, H = np.maximum.accumulate(P), np.minimum.accumulate(Q)
 
     def top(x):  # max over the nodes; -inf when there are none (m = 0)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DimensionError, DomainError, EstimationError, ModelError, SizeError, check_param
 from .extended import ExtendedArray
@@ -167,6 +165,9 @@ def _covering_radius(net: np.ndarray) -> float:
     points among them) or a hull that does not hold the origin strictly
     inside.
     """
+    # imported on first call, so that importing the package leaves scipy.spatial unloaded
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         # facet rows are (unit outward normal, -h)
         h = float(np.min(-ConvexHull(net).equations[:, -1]))
@@ -241,6 +242,9 @@ def _chebyshev_fit(V: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, floa
     Variables (theta, t) minimise t subject to V theta - t <= targets and
     -V theta - t <= -targets.  Returns theta and the attained gap t.
     """
+    # imported on first call, so that importing the package leaves scipy.optimize unloaded
+    from scipy.optimize import linprog
+
     K, d = V.shape
     ones = np.ones((K, 1))
     res = linprog(

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionError, DomainError, EstimationError, check_param
 from .extended import ExtendedArray
@@ -74,6 +73,9 @@ def ks_regression_estimate(
     final objective with ties broken by restart index.  Nelder-Mead returns
     its best vertex, so the winner never ends above the best start value.
     """
+    # imported on first call, so that importing the package leaves scipy.optimize unloaded
+    from scipy.optimize import minimize
+
     X = _as_design(X)
     n, d = X.shape
     vals, obs = Z.univariate()

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from missingrobust import (
@@ -440,7 +441,8 @@ class TestMultivariateMk:
         def failed(*args, **kwargs):
             return OptimizeResult(status=4, success=False, message="numerical difficulties", x=None)
 
-        monkeypatch.setattr(multivariate, "linprog", failed)
+        # _chebyshev_fit imports linprog at call time, so patch it at its source
+        monkeypatch.setattr(scipy.optimize, "linprog", failed)
         s = self.all_or_nothing_sample([0.0, 0.0], 200, 1.0, seed=0)
         with pytest.raises(EstimationError, match="numerical difficulties"):
             multivariate_mk(s, 0.1, 1.0, np.eye(2), seed=0)

@@ -422,11 +422,6 @@ class AdversaryLaw:
     def real_mass(self) -> float:
         return float(self._cdf_f1(self.a + 60.0 * self.sigma))
 
-    def cdf(self, x):
-        if self.name == "f1":
-            return self._cdf_f1(x)
-        return self.real_mass() - self._cdf_f1(-np.asarray(x, dtype=float))
-
     def sample(self, n: int, seed: int) -> ExtendedArray:
         """n draws by inversion; one uniform per row (role 1).
 

@@ -136,8 +136,12 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     (fallback [-6 sigma, 6 sigma] with no observations), golden-section
     refinement to 1e-6 sigma (or a few ulps of theta, if wider), then a
     left-plateau search so ties resolve to the smallest minimizer: a check at
-    the scan's left end and 50 bisection steps on the predicate
-    J(mid) <= v* + 1e-9, with v* the golden-section minimum.
+    the scan's left end, then bisection on the predicate J(mid) <= v* + 1e-9,
+    with v* the golden-section minimum, until the bracket is 1e-9 sigma wide
+    (or a few ulps of theta, if wider).  J is L-Lipschitz with
+    L = hi_mass / (sigma sqrt(2 pi)), so a point within 1e-9 sigma of the
+    edge differs in J by at most L * 1e-9 sigma <= 0.4e-9, which is inside
+    the 1e-9 tie slack.
 
     The scan is screened: the set-distance kernel on about 128 evenly spaced
     chain nodes gives a lower bound for every grid row, the exact kernel runs
@@ -147,33 +151,12 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     floating point too.  A row that could tie or beat the minimum is always
     evaluated exactly, so the argmin is the full scan's.
 
-    The plateau search skips an evaluation whose outcome is proved, and
-    never changes its path.  J is L-Lipschitz with
-    L = hi_mass / (s sqrt(2 pi)), s the base's scale: each term of the
-    kernel is a chain value plus a constant, or half the difference of two
-    values of one chain, so it moves by at most hi_mass times the largest
-    move of the base CDF values, and Phi((z - theta) / s) moves at a rate of
-    at most 1 / (s sqrt(2 pi)); a maximum of L-Lipschitz terms is
-    L-Lipschitz.  Every scan row carries a lower bound lb (its exact value,
-    or its screen bound), and every golden-section and bisection point its
-    value, so J(mid) >= max_x (lb_x - L |mid - x|).  When that envelope
-    exceeds v* + 1e-9 + margin, the computed J(mid) lies above v* + 1e-9 and
-    the step moves right without an evaluation.  The margin is
-    1e-12 + 8 L ulp(max|z| + max(|lo|, |hi|)) over the scan range [lo, hi]:
-    rounding z - theta moves a base CDF value by at most L / hi_mass times
-    half that ulp, at mid and at x alike, and ndtr, the division by s, the
-    kernel's arithmetic and the envelope's own take a few multiples of the
-    double epsilon, far below 1e-12.  When s is below the float spacing the
-    margin dwarfs every envelope, and no evaluation is skipped.
-
     This is the one-row case of the search ``multivariate_mk`` runs over
     all its projections at once; each search point is one scalar
     ``dist_to_realisable`` call.
 
-    ``meta`` reports the rows evaluated exactly (``scan_rows_exact``), the
-    scalar objective evaluations made (``objective_evals``) and the plateau
-    predicates settled without one (``plateau_skips``); their sum is the
-    search's evaluation count without the skips.
+    ``meta`` reports the rows evaluated exactly (``scan_rows_exact``) and
+    the scalar objective evaluations made (``objective_evals``).
     """
     summary = sample if isinstance(sample, EmpiricalSummary) else EmpiricalSummary.from_sample(sample)
     (estimate,) = _mk_search(summary.sorted_observed[None, :], summary.n_total, epsilon, q, [sigma])
@@ -185,14 +168,15 @@ def _mk_search(Z: np.ndarray, n: int, epsilon: float, q: float, sigmas) -> list[
 
     Row k holds the sorted observed values of one estimate whose base has
     scale ``sigmas[k]``; all rows share m and the row count n.  Every row
-    runs its own scan, golden section and plateau search, as ``mk_estimate``
-    describes, and leaves the loop when its own search ends; the rows share
-    the kernel calls.  The exact scan rows of all rows go through
-    ``dist_to_realisable_batch`` in 128-row blocks, the row with the smallest
-    screen bound of each first.  Then each round evaluates the next search
-    point of every live row in one batch call, or through
-    ``dist_to_realisable`` once a single row is left.  The kernel is
-    row-wise, so every value and count is the one row's own, bit for bit.
+    runs its own scan, golden section and plateau bisection, as
+    ``mk_estimate`` describes, and leaves the loop when its own bisection
+    bracket is 1e-9 sigma wide; the rows share the kernel calls.  The exact
+    scan rows of all rows go through ``dist_to_realisable_batch`` in 128-row
+    blocks, the row with the smallest screen bound of each first.  Then each
+    round evaluates the next search point of every live row in one batch
+    call, or through ``dist_to_realisable`` once a single row is left.  The
+    kernel is row-wise, so every value and count is the one row's own, bit
+    for bit.
     """
     specs = [RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q) for sigma in sigmas]
     K, m = Z.shape
@@ -213,7 +197,6 @@ def _mk_search(Z: np.ndarray, n: int, epsilon: float, q: float, sigmas) -> list[
                     "bracket": (-6.0 * sigma, 6.0 * sigma),
                     "scan_rows_exact": 0,
                     "objective_evals": 0,
-                    "plateau_skips": 0,
                 },
             )
             for sigma, spec in zip(sigmas, specs)
@@ -247,7 +230,7 @@ def _mk_search(Z: np.ndarray, n: int, epsilon: float, q: float, sigmas) -> list[
     others = rows != firsts[ks]
     scan_exact(ks[others], rows[others])
 
-    searches = [_refine(Z[k], sigmas[k], specs[k], grids[k], exact[k], bounds[k]) for k in range(K)]
+    searches = [_refine(Z[k], sigmas[k], grids[k], exact[k]) for k in range(K)]
     thetas = np.array([next(search) for search in searches])  # every search evaluates at least twice
     results: list = [None] * K
     live = np.arange(K)
@@ -282,48 +265,23 @@ def _screen_bound(z, grid, spec, n, nodes) -> np.ndarray:
     return bound
 
 
-class _Envelope:
-    """Lower bounds lb_x on one row's objective J at points x, with J(theta) >= max_x (lb_x - L |theta - x|).
-
-    Holds the scan rows' bounds, then each evaluated (theta, J), in arrays
-    that double when full.
-    """
-
-    def __init__(self, grid: np.ndarray, scan_lb: np.ndarray, lipschitz: float):
-        self.x = np.empty(2 * len(grid))
-        self.lb = np.empty(2 * len(grid))
-        self.x[: len(grid)] = grid
-        self.lb[: len(grid)] = scan_lb
-        self.end = len(grid)
-        self.lipschitz = lipschitz
-
-    def add(self, theta: float, value: float) -> float:
-        if self.end == len(self.x):
-            self.x = np.concatenate([self.x, np.empty(len(self.x))])
-            self.lb = np.concatenate([self.lb, np.empty(len(self.lb))])
-        self.x[self.end] = theta
-        self.lb[self.end] = value
-        self.end += 1
-        return value
-
-    def at(self, theta: float) -> float:
-        return (self.lb[: self.end] - self.lipschitz * np.abs(theta - self.x[: self.end])).max()
-
-
-def _refine(z, sigma, spec, grid, exact, bound):
+def _refine(z, sigma, grid, exact):
     """One row's golden section and left-plateau search, as ``mk_estimate`` describes.
 
     A generator: it yields each point theta to evaluate, is sent J(theta),
     and returns the row's ``UniEstimate``.  ``exact`` holds the scan's exact
-    values (inf on rows the screen left out) and ``bound`` the screen bounds.
+    values (inf on rows the screen left out).
     """
     best = int(np.argmin(exact))
     a = grid[max(best - 2, 0)]
     b = grid[min(best + 2, 511)]
     bracket = (float(a), float(b))
-    lipschitz = spec.hi_mass / (spec.base.scale * math.sqrt(2.0 * math.pi))
-    scan_lb = np.where(np.isfinite(exact), exact, bound)
-    seen = _Envelope(grid, scan_lb, lipschitz)
+    evals = 0
+
+    def J(theta: float):
+        nonlocal evals
+        evals += 1
+        return (yield theta)
 
     # golden-section to |theta error| <= 1e-6 sigma, or to a bracket a few
     # ulps wide when 1e-6 sigma is below the float spacing at theta (each
@@ -331,44 +289,32 @@ def _refine(z, sigma, spec, grid, exact, bound):
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
-    fc = seen.add(c, (yield c))
-    fd = seen.add(d, (yield d))
+    fc = yield from J(c)
+    fd = yield from J(d)
     while b - a > max(1e-6 * sigma, 4.0 * math.ulp(max(abs(a), abs(b)))):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
-            fc = seen.add(c, (yield c))
+            fc = yield from J(c)
         else:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
-            fd = seen.add(d, (yield d))
+            fd = yield from J(d)
     theta_hat = c if fc <= fd else d
     v_star = min(fc, fd)
 
-    # smallest minimizer: walk the tie plateau to its left edge, skipping
-    # the evaluations the Lipschitz envelope settles (see mk_estimate)
+    # smallest minimizer: bisect the tie plateau to its left edge, to 1e-9
+    # sigma or a few ulps of theta, whichever is wider
     tie = v_star + 1e-9
-    lo_g, hi_g = float(z[0]) - 6.0 * sigma, float(z[-1]) + 6.0 * sigma
-    margin = 1e-12 + 8.0 * lipschitz * math.ulp(max(abs(float(z[0])), abs(float(z[-1]))) + max(abs(lo_g), abs(hi_g)))
-    skips = 0
-
-    def above(theta: float):
-        nonlocal skips
-        if seen.at(theta) - margin > tie:
-            skips += 1
-            return True
-        return seen.add(theta, (yield theta)) > tie
-
-    lo_p, hi_p = lo_g, float(theta_hat)
-    if not (yield from above(lo_p)):
+    lo_p, hi_p = float(z[0]) - 6.0 * sigma, float(theta_hat)
+    if (yield from J(lo_p)) <= tie:
         hi_p = lo_p
-    else:
-        for _ in range(50):
-            mid = 0.5 * (lo_p + hi_p)
-            if (yield from above(mid)):
-                lo_p = mid
-            else:
-                hi_p = mid
+    while hi_p - lo_p > max(1e-9 * sigma, 4.0 * math.ulp(max(abs(lo_p), abs(hi_p)))):
+        mid = 0.5 * (lo_p + hi_p)
+        if (yield from J(mid)) > tie:
+            lo_p = mid
+        else:
+            hi_p = mid
     return UniEstimate(
         float(hi_p),
         {
@@ -376,7 +322,6 @@ def _refine(z, sigma, spec, grid, exact, bound):
             "kolmogorov_value": float(v_star),
             "bracket": bracket,
             "scan_rows_exact": int(np.isfinite(exact).sum()),
-            "objective_evals": seen.end - len(grid),
-            "plateau_skips": skips,
+            "objective_evals": evals,
         },
     )

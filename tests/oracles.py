@@ -2,12 +2,14 @@
 
 Everything here is deliberately written against scipy primitives rather than
 package code, so each check compares two unrelated routes to the same number.
-Three exceptions reuse package functions: ``mk_full_scan_bracket`` is the
+Four exceptions reuse package functions: ``mk_full_scan_bracket`` is the
 unscreened coarse scan that ``mk_estimate``'s screened scan must reproduce
 bit for bit, so it runs the package's exact batch kernel on every grid row;
-``mk_search_without_skips`` is the search that follows it, with every
-plateau predicate evaluated, which ``mk_estimate`` must reproduce bit for
-bit with fewer evaluations, so it runs the package's scalar kernel;
+``mk_search_fixed_bisection`` is the search that follows it with the
+plateau bisection run for 50 fixed steps, whose golden section
+``mk_estimate`` must reproduce bit for bit and whose value ``mk_estimate``'s
+may exceed by at most its bisection tolerance, so it runs the package's
+scalar kernel;
 ``mk_per_direction`` is ``multivariate_mk``'s projected centres found one
 ``mk_estimate`` call per direction, which the lockstep search over all
 directions must reproduce bit for bit; and ``iterative_robust_descent``
@@ -21,12 +23,12 @@ realisable model's density sandwich; and ``two_point_shared_law``, the
 three-atom law that both specs of ``adversary_two_point`` observe.  The
 missing token ``STAR``, the empirical law ``EmpiricalDist``, the Gaussian
 density and quantile (``gaussian_pdf``, ``gaussian_ppf``), the adversary
-law's density, STAR mass and observed mean, and the row-literal builder
-``extended_from_rows`` are test references and fixtures too; they use only
-the public attributes of the package's objects.
+law's density, CDF, STAR mass and observed mean, and the row-literal
+constructor ``extended_from_rows`` are test references and fixtures too;
+they use only the public attributes of the package's objects.
 ``adversary_sample_by_bisection`` is the bisection that
 ``AdversaryLaw.sample``'s closed-form inversion replaced: it bisects
-``law.cdf`` on the same role-1 uniforms, so the two routes share only the
+``adversary_cdf`` on the same role-1 uniforms, so the two routes share only the
 stream and the CDF.  ``sym_distance_by_all_crossings`` is the fourteen-piece
 symmetrised distance minimised over every pairwise crossing of its pieces,
 the search that the package kernel's closed form proves unnecessary: it
@@ -365,6 +367,27 @@ def adversary_density(law, x):
     return np.where(x <= 0.0, lo * phi(-a), np.where(x <= tau, lo * phi(a), hi * phi(-a)))
 
 
+def adversary_cdf(law, x):
+    """Observed-value CDF of an ``AdversaryLaw``: ``adversary_density``
+    integrated in closed form, piece by piece through ndtr; f2 mirrors f1,
+    F2(x) = real_mass() - F1(-x)."""
+    x = np.asarray(x, dtype=float)
+    t = x if law.name == "f1" else -x
+    lo, hi, tau, a, s = law.lo_mass, law.hi_mass, law.tau, law.a, law.sigma
+
+    def Phi(v, centre):
+        return ndtr((v - centre) / s)
+
+    f0 = lo * Phi(0.0, -a)
+    ftau = f0 + lo * (Phi(tau, a) - Phi(0.0, a))
+    F1 = np.where(
+        t <= 0.0,
+        lo * Phi(t, -a),
+        np.where(t <= tau, f0 + lo * (Phi(t, a) - Phi(0.0, a)), ftau + hi * (Phi(t, -a) - Phi(tau, -a))),
+    )
+    return F1 if law.name == "f1" else law.real_mass() - F1
+
+
 def adversary_star_mass(law) -> float:
     """Probability that an ``AdversaryLaw`` draw is STAR."""
     return 1.0 - law.real_mass()
@@ -391,7 +414,7 @@ def adversary_observed_mean(law) -> float:
 
 
 def adversary_sample_by_bisection(law, n: int, seed: int) -> ExtendedArray:
-    """``law.sample(n, seed)`` by bisection on ``law.cdf`` to a 1e-12 bracket.
+    """``law.sample(n, seed)`` by bisection on ``adversary_cdf`` to a 1e-12 bracket.
 
     Draws the same role-1 uniforms and the same mask u < real_mass(), then
     halves [-a - 60 sigma, a + 60 sigma] on every observed row at once.
@@ -406,7 +429,7 @@ def adversary_sample_by_bisection(law, n: int, seed: int) -> ExtendedArray:
         # bisection on the piecewise CDF, branch-safe near tau
         while np.max(hi - lo) > 1e-12:
             mid = 0.5 * (lo + hi)
-            below = law.cdf(mid) < target
+            below = adversary_cdf(law, mid) < target
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         values[observed] = 0.5 * (lo + hi)
@@ -573,14 +596,13 @@ def mk_full_scan_bracket(summary, epsilon: float, q: float, sigma: float) -> tup
     return float(grid[max(best - 2, 0)]), float(grid[min(best + 2, 511)])
 
 
-def mk_search_without_skips(summary, epsilon: float, q: float, sigma: float) -> tuple:
-    """``mk_estimate``'s golden section and left-plateau search, evaluating every predicate.
+def mk_search_fixed_bisection(summary, epsilon: float, q: float, sigma: float) -> tuple:
+    """``mk_estimate``'s golden section and left-plateau search, bisecting 50 fixed steps.
 
     Starts from ``mk_full_scan_bracket`` and runs the search as it was
-    before the plateau search learned to skip evaluations its Lipschitz
-    envelope settles, through the public ``EmpiricalSummary`` constructor.
-    Returns (value, kolmogorov_value, evaluations); with at least one
-    observed value.
+    before the plateau bisection stopped on a 1e-9 sigma bracket width,
+    through the public ``EmpiricalSummary`` constructor.  Returns (value,
+    kolmogorov_value, evaluations); with at least one observed value.
     """
     z, n = summary.sorted_observed, summary.n_total
     spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q)

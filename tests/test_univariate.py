@@ -36,7 +36,7 @@ from oracles import (
     adversary_sample_by_bisection,
     extended_from_rows,
     mk_full_scan_bracket,
-    mk_search_without_skips,
+    mk_search_fixed_bisection,
     sorted_block_means,
     upper_median,
 )
@@ -70,12 +70,12 @@ def screen_cases():
 
 # (value, kolmogorov_value) as float.hex, taken from the unscreened scan
 PINNED = {
-    "adversary_n1e4": ("-0x1.010cb71e0d0f6p+0", "0x1.2141f5c464f60p-8"),
-    "clean_gaussian": ("0x1.01925c258b318p+1", "0x1.2ad9b771491e8p-6"),
-    "bimodal": ("-0x1.420187d1bf6d0p+0", "0x1.a872bb0b7c626p-3"),
-    "t2": ("-0x1.8015daa228bd8p-3", "0x1.b94268ac0f94ap-5"),
-    "rounded": ("-0x1.1d54ad4032c52p-3", "0x1.3a92a30553262p-4"),
-    "small_m": ("0x1.0d42ca604982ap-1", "0x1.4d4950697063ap-4"),
+    "adversary_n1e4": ("-0x1.010cb71bf4cc6p+0", "0x1.2141f5c464f60p-8"),
+    "clean_gaussian": ("0x1.01925c25e85eep+1", "0x1.2ad9b771491e8p-6"),
+    "bimodal": ("-0x1.420187d168ae0p+0", "0x1.a872bb0b7c626p-3"),
+    "t2": ("-0x1.8015da98def82p-3", "0x1.b94268ac0f94ap-5"),
+    "rounded": ("-0x1.1d54ad346063ap-3", "0x1.3a92a30553262p-4"),
+    "small_m": ("0x1.0d42ca6979df3p-1", "0x1.4d4950697063ap-4"),
 }
 
 
@@ -95,12 +95,12 @@ def pinned_cases():
 
 
 def search_cases():
-    """(label, summary, epsilon, q, sigma) for the plateau search's bit-identity check.
+    """(label, summary, epsilon, q, sigma) for the plateau search's check against the fixed bisection.
 
     The adversary law at n = 1e3, tie plateaus (the one reaching the scan's
     left edge among them), a sigma near the float spacing at theta, data
-    offset by 1e6 with sigma 1e-3, where the rounding margin is widest
-    against the objective's slope, and m = 1 to 3.
+    offset by 1e6 with sigma 1e-3, where the bisection stops on the few-ulp
+    width rather than on 1e-9 sigma, and m = 1 to 3.
     """
     law = AdversaryLaw("f1", 1.0, 1.0, 0.3, 1.0)
     for seed in range(4):
@@ -358,33 +358,33 @@ class TestMkEstimate:
             assert meta["objective_evals"] >= 2
 
     @pytest.mark.parametrize("summary, eps, q, sigma", [pytest.param(*case, id=label) for label, *case in search_cases()])
-    def test_plateau_skips_keep_the_search_bit_identical(self, summary, eps, q, sigma):
-        value, kolmogorov_value, evals = mk_search_without_skips(summary, eps, q, sigma)
+    def test_plateau_bisection_stops_within_its_tolerance(self, summary, eps, q, sigma):
+        ref, kolmogorov_value, _ = mk_search_fixed_bisection(summary, eps, q, sigma)
         est = mk_estimate(summary, eps, q, sigma)
-        assert est.value.hex() == value.hex()
         assert float(est.meta["kolmogorov_value"]).hex() == kolmogorov_value.hex()
-        assert est.meta["objective_evals"] + est.meta["plateau_skips"] == evals
+        assert est.meta["bracket"] == mk_full_scan_bracket(summary, eps, q, sigma)
+        # the width-stopped bisection takes the fixed one's midpoints, so it
+        # stops on a bracket that holds the fixed search's final one
+        assert 0.0 <= est.value - ref <= max(1e-9 * sigma, 4.0 * math.ulp(max(abs(est.value), abs(ref))))
+        spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), eps, q)
+        z, n = summary.sorted_observed, summary.n_total
+        assert dist_to_realisable(EmpiricalSummary(z - est.value, n), spec) <= kolmogorov_value + 1e-9
 
-    def test_plateau_skips_save_evaluations_on_the_adversary_law(self):
+    def test_plateau_bisection_saves_evaluations_on_the_adversary_law(self):
         law = AdversaryLaw("f1", 1.0, 1.0, 0.3, 1.0)
-        metas = [mk_estimate(law.sample(1000, seed=seed), 0.3, 1.0, 1.0).meta for seed in range(4)]
-        assert all(meta["plateau_skips"] > 0 for meta in metas)
-        assert sum(meta["objective_evals"] for meta in metas) <= 0.85 * sum(
-            meta["objective_evals"] + meta["plateau_skips"] for meta in metas
-        )
-
-    def test_sigma_below_the_float_spacing_skips_nothing(self):
-        # at sigma = 1e-17 around 1.0 the rounding margin dwarfs every envelope
-        summary = EmpiricalSummary(1.0 + np.array([0.0, 2.0**-52, 2.0**-51]), 4)
-        assert mk_estimate(summary, 0.1, 0.8, 1e-17).meta["plateau_skips"] == 0
+        for seed in range(4):
+            summary = EmpiricalSummary.from_sample(law.sample(1000, seed=seed))
+            _, _, evals = mk_search_fixed_bisection(summary, 0.3, 1.0, 1.0)
+            assert mk_estimate(summary, 0.3, 1.0, 1.0).meta["objective_evals"] <= 0.8 * evals, seed
 
     @pytest.mark.parametrize(
         "summary, eps, q, sigma",
         [pytest.param(*case, id=label) for label, *case in search_cases() if label in ("adversary_s0", "plateau_rounded_small", "m3")],
     )
     def test_objective_is_lipschitz(self, summary, eps, q, sigma):
-        # the envelope's premise, |J(a) - J(b)| <= L |a - b| with L = hi_mass / (scale sqrt(2 pi)),
-        # on neighbouring points of a dense grid (the triangle inequality gives every other pair)
+        # the plateau bisection's stopping premise, |J(a) - J(b)| <= L |a - b| with
+        # L = hi_mass / (scale sqrt(2 pi)), on neighbouring points of a dense grid
+        # (the triangle inequality gives every other pair)
         spec = RealisableSetSpec(Gaussian.univariate(0.0, sigma), eps, q)
         z, n = summary.sorted_observed, summary.n_total
         thetas = np.linspace(z[0] - 6.0 * sigma, z[-1] + 6.0 * sigma, 2001)

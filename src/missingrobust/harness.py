@@ -23,7 +23,6 @@ import importlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product
@@ -629,15 +628,21 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> list[Res
     ``workers`` on a small config would fork processes that get no work.
     The merged output is sorted on the full record key, so worker count
     never changes the result.  Before it builds the pool, a pooled run loads
-    the modules its estimators import on first call (``_DEFERRED_IMPORTS``:
-    scipy.optimize and scipy.spatial), so forked workers inherit them rather
-    than each importing its own copy.
+    the modules that the library imports on first call: scipy.special, which
+    every sampler but ``TwoPoint`` draws through, and what its estimators
+    need (``_DEFERRED_IMPORTS``: scipy.optimize and scipy.spatial).  So
+    forked workers inherit them rather than each importing its own copy.
+    The pool module itself, and the multiprocessing it loads, is imported
+    only here, so a serial run never loads it.
     """
     tasks = [
         (cell, config.estimators, config.delta, rep, rep_seed)
         for _, cell, rep, rep_seed in _replications(config)
     ]
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        importlib.import_module("scipy.special")
         for name in config.estimators:
             for module in _DEFERRED_IMPORTS.get(name, ()):
                 importlib.import_module(module)

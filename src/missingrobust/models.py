@@ -22,11 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DimensionError, DomainError, SizeError, check_param
 from .extended import ExtendedArray, PatternDistribution
 from .rng import Stream, child_seed
+
+# ndtr and ndtri are imported in the functions that call them, so that
+# importing the package leaves scipy.special unloaded
 
 _ROLE_BASE = 1
 _ROLE_MASK = 2
@@ -93,6 +95,8 @@ class Gaussian:
         return self.theta + z @ self._chol.T
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return ndtr((np.asarray(x, dtype=float) - self.theta[0]) / self.scale)
 
 
@@ -377,6 +381,8 @@ class AdversaryLaw:
         return Gaussian.univariate(centre, self.sigma)
 
     def _Phi(self, x, centre):
+        from scipy.special import ndtr
+
         return ndtr((np.asarray(x, dtype=float) - centre) / self.sigma)
 
     def _knots(self) -> tuple[float, float]:
@@ -407,6 +413,8 @@ class AdversaryLaw:
         absolute accuracy; every ndtri argument is clamped into [0, 1]
         against rounding at the ends of [0, real_mass()).
         """
+        from scipy.special import ndtr, ndtri
+
         lo, hi, tau, a, s = self.lo_mass, self.hi_mass, self.tau, self.a, self.sigma
         f0, ftau = self._knots()
         x = np.select(

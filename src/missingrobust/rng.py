@@ -20,11 +20,12 @@ reproduce the streams exactly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 
-# smallest uniform fed to the inverse normal CDF; keeps normals finite
+# smallest uniform fed to the inverse normal CDF; keeps normals finite.  The
+# top needs no guard: Generator.random is at most 1 - 2**-53, where ndtri
+# is 8.2095
 _U_EPS = 2.0 ** -55
 
 
@@ -73,8 +74,11 @@ class Stream:
         return self._gen.random(int(k))
 
     def normals(self, k: int) -> np.ndarray:
+        # imported on first call, so that importing the package leaves scipy.special unloaded
+        from scipy.special import ndtri
+
         u = self.uniforms(k)
-        return ndtri(np.clip(u, _U_EPS, 1.0 - _U_EPS))
+        return ndtri(np.maximum(u, _U_EPS))
 
     def bernoulli(self, p, k: int) -> np.ndarray:
         return self.uniforms(k) < p

@@ -1,5 +1,6 @@
 """Scenario configs, the Monte Carlo runner, summaries, and CSV io."""
 
+import concurrent.futures
 import copy
 import json
 import math
@@ -453,7 +454,7 @@ class TestRunScenario:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = ScenarioConfig.from_dict(cfg_dict(grid={"n": [20, 30]}, reps=3))
         serial = run_scenario(cfg)
         assert run_scenario(cfg, workers=64) == serial

@@ -46,7 +46,7 @@ class EmpiricalSummary:
 
     def __post_init__(self):
         z = np.asarray(self.sorted_observed, dtype=float).reshape(-1)
-        if np.any(np.diff(z) < 0):
+        if np.any(z[1:] < z[:-1]):  # a comparison, as a difference of finite values can overflow
             z = np.sort(z)
         if not np.all(np.isfinite(z)):
             raise DomainError("observed values must be finite")

@@ -37,8 +37,17 @@ __all__ = [
     "order_median",
 ]
 
-# chain nodes the coarse-scan screen keeps, about this many per grid row
-_SCREEN_NODES = 128
+# chain nodes the coarse-scan screen keeps, about this many per grid row.  Any
+# sound lower bound gives the same argmin, so this trades screen cost against
+# rows left for the exact kernel: at 16 nodes the benchmark's searches leave
+# 1-9 exact rows per row (4 in the median on the projected stacks), against
+# 1-5 (2) at 128 nodes, and the scan costs a quarter to a third as much.
+# At 8 nodes the scan cost 0.77-1.16 times as much as at 16, at 32 nodes
+# 1.3-1.4 times, over m = 750 to 7400 and stacks of 18 rows
+_SCREEN_NODES = 16
+
+# every base of the location search is a Gaussian centred at 0, so its CDF is this one's at x / scale
+_STANDARD = Gaussian.univariate(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -143,13 +152,23 @@ def mk_estimate(sample, epsilon: float, q: float, sigma: float) -> UniEstimate:
     edge differs in J by at most L * 1e-9 sigma <= 0.4e-9, which is inside
     the 1e-9 tie slack.
 
-    The scan is screened: the set-distance kernel on about 128 evenly spaced
-    chain nodes gives a lower bound for every grid row, the exact kernel runs
-    on the row with the smallest bound, and then on every row whose bound
-    does not exceed that exact value.  The chain on the node subset is the
-    full chain at those nodes bit for bit, so the bound is a lower bound in
-    floating point too.  A row that could tie or beat the minimum is always
-    evaluated exactly, so the argmin is the full scan's.
+    The scan is screened: the set-distance kernel on about 16 evenly spaced
+    chain nodes (every node when m < 32) gives a lower bound for every grid
+    row, the exact kernel runs on the row with the smallest bound, and then
+    on every row whose bound does not exceed that exact value.  The chain on
+    the node subset is the full chain at those nodes bit for bit, so the
+    bound is a lower bound in floating point too.  Any such bound gives the
+    same result: a row whose exact value equals the scan minimum has a bound
+    no larger than that minimum, which is no larger than the exact value at
+    the row of smallest bound, so it is always evaluated, and the first
+    argmin and the bracket are the full scan's.  The node count moves only
+    ``scan_rows_exact``: on the benchmark's adversary-law and projected
+    searches (seeds 100-102) 16 nodes leave 1 to 9 rows for the exact
+    kernel, where 128 nodes left 1 to 5, and the scan costs a quarter to a
+    third as much.
+
+    Data whose scan range [z[0] - 6 sigma, z[-1] + 6 sigma] is wider than
+    the largest float is refused with a ``DomainError``.
 
     This is the one-row case of the search ``multivariate_mk`` runs over
     all its projections at once; each search point is one scalar
@@ -170,13 +189,16 @@ def _mk_search(Z: np.ndarray, n: int, epsilon: float, q: float, sigmas) -> list[
     scale ``sigmas[k]``; all rows share m and the row count n.  Every row
     runs its own scan, golden section and plateau bisection, as
     ``mk_estimate`` describes, and leaves the loop when its own bisection
-    bracket is 1e-9 sigma wide; the rows share the kernel calls.  The exact
-    scan rows of all rows go through ``dist_to_realisable_batch`` in 128-row
-    blocks, the row with the smallest screen bound of each first.  Then each
-    round evaluates the next search point of every live row in one batch
-    call, or through ``dist_to_realisable`` once a single row is left.  The
+    bracket is 1e-9 sigma wide; the rows share the kernel calls.  One
+    blocked pass screens the grids of all rows (``_screen_bounds``).  The
+    exact scan rows of all rows go through ``dist_to_realisable_batch`` in
+    128-row blocks, the row with the smallest screen bound of each first.
+    Then each round evaluates the next search point of every live row in one
+    batch call, or through ``dist_to_realisable`` once a single row is left.
+    A batch takes its base CDF rows from ``_shifted_cdf``, not row by row.  The
     kernel is row-wise, so every value and count is the one row's own, bit
-    for bit.
+    for bit.  Every search point lies in its row's scan range, so a finite
+    range width bounds every shift z - theta and no shift overflows.
     """
     specs = [RealisableSetSpec(Gaussian.univariate(0.0, sigma), epsilon, q) for sigma in sigmas]
     K, m = Z.shape
@@ -202,27 +224,22 @@ def _mk_search(Z: np.ndarray, n: int, epsilon: float, q: float, sigmas) -> list[
             for sigma, spec in zip(sigmas, specs)
         ]
     lo_mass, hi_mass = specs[0].lo_mass, specs[0].hi_mass
-    grids = np.stack([np.linspace(float(z[0]) - 6.0 * s, float(z[-1]) + 6.0 * s, 512) for z, s in zip(Z, sigmas)])
+    # Python floats, so that an overflowing end or width is inf and no warning
+    ends = [(float(z[0]) - 6.0 * float(s), float(z[-1]) + 6.0 * float(s)) for z, s in zip(Z, sigmas)]
+    for lo, hi in ends:
+        if not math.isfinite(hi - lo):
+            raise DomainError(f"observed values must be finite and span a finite scan range; [{lo:.6g}, {hi:.6g}] overflows")
+    grids = np.stack([np.linspace(lo, hi, 512) for lo, hi in ends])
+    scales = np.array([spec.base.scale for spec in specs])
     nodes = np.append(np.arange(1, m + 1, max(1, m // _SCREEN_NODES)), m + 1)
-    bounds = np.stack([_screen_bound(z, grid, spec, n, nodes) for z, grid, spec in zip(Z, grids, specs)])
+    bounds = _screen_bounds(Z, grids, scales, n, lo_mass, hi_mass, nodes)
     exact = np.full((K, 512), np.inf)
-
-    def base_cdf(ks, thetas, check: bool = False) -> np.ndarray:
-        # row i: the base CDF of data row ks[i] shifted by -thetas[i]
-        F = np.empty((len(ks), m))
-        for i, (k, theta) in enumerate(zip(ks, thetas)):
-            shifted = Z[k] - theta
-            # the scalar objective's summary refuses a shift that overflows at an end, and so does a round
-            if check and not (math.isfinite(shifted[0]) and math.isfinite(shifted[-1])):
-                raise DomainError("observed values must be finite")
-            F[i] = specs[k].base.cdf(shifted)
-        return F
 
     def scan_exact(ks, rows) -> None:
         # 128-row blocks cap the memory at the unscreened scan's
         for start in range(0, len(rows), 128):
             kb, rb = ks[start : start + 128], rows[start : start + 128]
-            exact[kb, rb] = dist_to_realisable_batch(base_cdf(kb, grids[kb, rb]), n, lo_mass, hi_mass)
+            exact[kb, rb] = dist_to_realisable_batch(_shifted_cdf(Z, kb, grids[kb, rb], scales), n, lo_mass, hi_mass)
 
     firsts = np.argmin(bounds, axis=1)
     scan_exact(np.arange(K), firsts)
@@ -235,7 +252,7 @@ def _mk_search(Z: np.ndarray, n: int, epsilon: float, q: float, sigmas) -> list[
     results: list = [None] * K
     live = np.arange(K)
     while len(live) > 1:
-        values = dist_to_realisable_batch(base_cdf(live, thetas[live], check=True), n, lo_mass, hi_mass)
+        values = dist_to_realisable_batch(_shifted_cdf(Z, live, thetas[live], scales), n, lo_mass, hi_mass)
         still = []
         for k, value in zip(live.tolist(), values.tolist()):
             try:
@@ -254,15 +271,41 @@ def _mk_search(Z: np.ndarray, n: int, epsilon: float, q: float, sigmas) -> list[
     return results
 
 
-def _screen_bound(z, grid, spec, n, nodes) -> np.ndarray:
-    """Node-subset lower bound on the objective at every grid row, a block of rows at a time."""
-    z_nodes = z[nodes[:-1] - 1]
-    bound = np.empty(len(grid))
+def _shifted_cdf(Z, ks, thetas, scales) -> np.ndarray:
+    """Row i: the base CDF of data row ``ks[i]`` shifted by ``-thetas[i]``, a row block per call.
+
+    Every base is a Gaussian centred at 0 with scale ``scales[k]``, so its CDF
+    at z - theta is the standard normal CDF at (z - theta) / scale, the
+    float ``Gaussian.cdf`` computes (subtracting a centre of 0.0 leaves a
+    float as it is).  One call per ``_row_block`` of rows keeps every
+    temporary but the result at 64 KB: a single call over a scan's exact rows
+    raised the peak RSS of ``multivariate_d2`` by 2%, at no measurable gain.
+    """
+    F = np.empty((len(ks), Z.shape[1]))
+    step = _row_block(Z.shape[1])
+    for start in range(0, len(ks), step):
+        kb = ks[start : start + step]
+        F[start : start + step] = _STANDARD.cdf((Z[kb] - thetas[start : start + step, None]) / scales[kb][:, None])
+    return F
+
+
+def _screen_bounds(Z, grids, scales, n, lo_mass, hi_mass, nodes) -> np.ndarray:
+    """Node-subset lower bound on the objective at every row of every grid, a block of rows at a time.
+
+    Row k of the result bounds the objective of data row k at ``grids[k]``.
+    Every temporary, the CDF block included, holds at most one
+    ``_row_block`` of grid rows.
+    """
+    Z_nodes = Z[:, nodes[:-1] - 1]
+    K, rows = grids.shape
+    ks = np.repeat(np.arange(K), rows)
+    thetas = grids.reshape(-1)
+    bound = np.empty(K * rows)
     step = _row_block(len(nodes))
-    for start in range(0, len(grid), step):
-        F_nodes = spec.base.cdf(z_nodes[None, :] - grid[start : start + step, None])
-        bound[start : start + step] = _plain_distance(*_chain(F_nodes, spec.lo_mass, spec.hi_mass), n, nodes)
-    return bound
+    for start in range(0, K * rows, step):
+        F = _shifted_cdf(Z_nodes, ks[start : start + step], thetas[start : start + step], scales)
+        bound[start : start + step] = _plain_distance(*_chain(F, lo_mass, hi_mass), n, nodes)
+    return bound.reshape(K, rows)
 
 
 def _refine(z, sigma, grid, exact):

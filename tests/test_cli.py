@@ -183,6 +183,13 @@ class TestEstimate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_scan_range_that_overflows_is_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "wide.tsv"
+        path.write_text("# d=1 model=m seed=0\n1e308\n-1e308\n")
+        assert main(["estimate", "--estimator", "min_kolmogorov", "--data", str(path)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error:") and "finite scan range" in err and "overflows" in err
+
     @pytest.mark.parametrize(
         "text, where",
         [

@@ -401,6 +401,14 @@ class TestMultivariateMk:
         with pytest.raises(DomainError, match="observed values must be finite"):
             multivariate_mk(sample, 0.2, 0.8, np.eye(2), seed=0)
 
+    def test_projections_whose_scan_range_overflows_are_a_domain_error(self):
+        # the direction (1, 0) spans 2e308, so its scan range overflows; the
+        # search says so before any arithmetic on it
+        X = np.tile([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]], (20, 1))
+        sample = ExtendedArray(X, np.ones(X.shape, dtype=bool))
+        with pytest.raises(DomainError, match=r"finite scan range; \[.*\] overflows"):
+            multivariate_mk(sample, 0.2, 0.8, np.eye(2), seed=0)
+
     def test_one_kernel_call_per_search_round(self, monkeypatch):
         # a lockstep round makes one kernel call for all its live directions;
         # a loop of per-direction searches makes one per direction and point

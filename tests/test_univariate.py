@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from missingrobust import univariate
 from missingrobust import (
     AdversaryLaw,
     Constant,
@@ -50,7 +51,9 @@ def screen_cases():
     """(summary, epsilon, q, sigma) on data shapes that stress the scan screen.
 
     Gaussian, bimodal, t(2), rounded (heavily tied) and m < 128 samples,
-    each with an epsilon = 0, q = 1 variant among its levels.
+    each with an epsilon = 0, q = 1 variant among its levels, plus m < 16
+    and m = 16 to 40 samples, tied and untied, where the screen keeps every
+    chain node or every second one.
     """
     levels = [(0.0, 1.0), (0.3, 1.0), (0.2, 0.8), (0.1, 0.5), (0.4, 0.9)]
     for seed, (eps, q) in enumerate(levels):
@@ -63,6 +66,9 @@ def screen_cases():
             np.round(2.0 * s.normals(m)) / 2.0,
             1.5 * s.normals(20 + 20 * seed),
             np.round(s.normals(30 + 20 * seed)),
+            s.normals(3 + 3 * seed),
+            np.round(2.0 * s.normals(16 + 6 * seed)) / 2.0,
+            s.normals(40 - 6 * seed),
         ]
         for z in shapes:
             yield EmpiricalSummary(z, len(z) + 7 * seed), eps, q, 1.0 + 0.25 * seed
@@ -318,6 +324,21 @@ class TestMkEstimate:
         with pytest.raises(DomainError):
             mk_estimate(uni([1.0]), 0.1, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "data, sigma",
+        [
+            (EmpiricalSummary(np.array([1e308, -1e308]), 2), 1.0),
+            (uni([1e308, STAR, -1e308]), 1.0),
+            (EmpiricalSummary(np.array([-9e307, 0.0, 9e307]), 5), 1e150),
+        ],
+        ids=["summary", "sample", "wide_sigma"],
+    )
+    def test_scan_range_that_overflows_is_a_domain_error(self, data, sigma):
+        # the width of [z[0] - 6 sigma, z[-1] + 6 sigma] is checked before any
+        # array arithmetic on it, so no overflow warning comes first
+        with pytest.raises(DomainError, match=r"finite scan range; \[.*\] overflows"):
+            mk_estimate(data, 0.2, 0.8, sigma)
+
     def test_sigma_below_the_float_spacing_at_theta_ends(self):
         # 1e-6 sigma = 1e-17 is below the spacing of floats near 1.0, so the
         # golden section stops on a bracket a few ulps wide instead
@@ -343,6 +364,74 @@ class TestMkEstimate:
         for summary, eps, q, sigma in cases:
             est = mk_estimate(summary, eps, q, sigma)
             assert est.meta["bracket"] == mk_full_scan_bracket(summary, eps, q, sigma)
+
+    @pytest.mark.parametrize("m", [5, 16, 33, 400])
+    def test_screen_bounds_are_at_or_below_the_exact_values(self, m):
+        # a lockstep stack of rows with different scales, tied data in some;
+        # at stride 1 the screen keeps every node, so it is the exact value
+        s = Stream(child_seed(910, m))
+        Z = np.sort(np.stack([s.normals(m), np.round(s.normals(m)), 3.0 * s.normals(m) + 1.0, np.round(4.0 * s.normals(m)) / 4.0]), axis=1)
+        sigmas, n, eps, q = [0.5, 1.0, 2.0, 3.7], m + 9, 0.2, 0.8
+        specs = [RealisableSetSpec(Gaussian.univariate(0.0, sigma), eps, q) for sigma in sigmas]
+        grids = np.stack([np.linspace(z[0] - 6.0 * sigma, z[-1] + 6.0 * sigma, 512) for z, sigma in zip(Z, sigmas)])
+        scales = np.array([spec.base.scale for spec in specs])
+        nodes = np.append(np.arange(1, m + 1, max(1, m // univariate._SCREEN_NODES)), m + 1)
+        bounds = univariate._screen_bounds(Z, grids, scales, n, specs[0].lo_mass, specs[0].hi_mass, nodes)
+        exact = np.array([
+            [dist_to_realisable(EmpiricalSummary(z - theta, n), spec) for theta in grid] for z, grid, spec in zip(Z, grids, specs)
+        ])
+        assert np.all(bounds <= exact)
+        if len(nodes) == m + 1:
+            assert bounds.tobytes() == exact.tobytes()
+        else:
+            assert np.any(bounds < exact)
+
+    def test_round_cdf_is_each_rows_base_cdf(self):
+        # the batched CDF of data rows of different scales equals each row's
+        # own base CDF bit for bit, at signed zeros and in both far tails
+        Z = np.sort(np.stack([
+            np.array([-0.0, 0.0, 1e-300, 0.5, 2.0]),
+            np.array([-40.0, -3.0, -0.0, 7.5, 40.0]),
+            Stream(71).normals(5),
+            np.array([-1e-3, -0.0, 0.0, 1e-3, 3e-3]),
+        ]), axis=1)
+        sigmas = [1.0, 2.5, 0.3, 1e-3]
+        scales = np.array([Gaussian.univariate(0.0, sigma).scale for sigma in sigmas])
+        ks = np.array([0, 0, 1, 2, 1, 2, 0, 3, 3])
+        thetas = np.array([0.0, -0.0, 0.0, -50.0, 45.0, 1e-9, 38.0, -0.0, 0.0])
+        F = univariate._shifted_cdf(Z, ks, thetas, scales)
+        for row, k, theta in zip(F, ks, thetas):
+            assert row.tobytes() == Gaussian.univariate(0.0, sigmas[k]).cdf(Z[k] - theta).tobytes()
+        assert np.signbit(Z[0, 0] - thetas[0]) and F[0, 0] == 0.5
+        assert F[3].min() == 1.0 and F[4].min() < 1e-250 and F[6].max() < 1e-250
+
+    def test_screen_and_cdf_calls_hold_one_row_block(self, monkeypatch):
+        # every screen kernel call and every base-CDF call, of the screen, the
+        # exact scan rows and the rounds alike, holds at most one _row_block of
+        # rows, so the search's temporaries do not grow with the row count K
+        s = Stream(73)
+        Z = np.sort(np.stack([s.normals(600) * (1.0 + 0.1 * k) for k in range(18)]), axis=1)
+        m = Z.shape[1]
+        nodes = np.append(np.arange(1, m + 1, m // univariate._SCREEN_NODES), m + 1)
+        cdf_shapes, kernel_rows = [], []
+
+        class Standard:
+            def cdf(self, x, _inner=univariate._STANDARD.cdf):
+                cdf_shapes.append(x.shape)
+                return _inner(x)
+
+        def plain_distance(L, U, n, nodes=None, _inner=univariate._plain_distance):
+            if nodes is not None:
+                kernel_rows.append(L.shape[0])
+            return _inner(L, U, n, nodes)
+
+        monkeypatch.setattr(univariate, "_STANDARD", Standard())
+        monkeypatch.setattr(univariate, "_plain_distance", plain_distance)
+        univariate._mk_search(Z, 700, 0.2, 0.8, [1.0 + 0.1 * k for k in range(18)])
+        assert sum(rows for rows, cols in cdf_shapes if cols == len(nodes) - 1) == sum(kernel_rows) == 18 * 512
+        assert {cols for _, cols in cdf_shapes} == {len(nodes) - 1, m}
+        assert all(rows <= univariate._row_block(cols) for rows, cols in cdf_shapes)
+        assert max(kernel_rows) <= univariate._row_block(len(nodes))
 
     def test_pinned_estimates(self):
         for name, data, eps, q, sigma in pinned_cases():
